@@ -42,7 +42,7 @@ from .lattices import (
     bond_energy_decomposition,
     star_ground_energy_heisenberg,
 )
-from .sdp import PPTResult, solve_ppt_sdp
+from .sdp import PPTResult, solve_ppt_sdp, solve_ppt_sdp_batch
 from .separability import (
     GapReport,
     ProductState,

@@ -177,21 +177,17 @@ def partial_transpose(m: HermitianOperator, subsystem: int) -> HermitianOperator
         )
     if subsystem not in (0, 1):
         raise ValueError(f"invalid subsystem index {subsystem}")
-    da, db = m.dims
-    t = m.matrix.reshape(da, db, da, db)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return HermitianOperator(t.reshape(m.dim, m.dim), m.dims)
+    t = partial_transpose_matrix(m.matrix, *m.dims)
+    # transposing the second factor is transposing the first, then the whole
+    return HermitianOperator(t if subsystem == 0 else t.T, m.dims)
 
 
 def partial_transpose_matrix(matrix: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Partial transpose over the first factor of a raw (da*db) x (da*db) array."""
-    n = da * db
-    return (
-        matrix.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(n, n)
-    )
+    """Partial transpose over the first factor of raw (da*db) x (da*db)
+    arrays, batched over any leading axes."""
+    batch = matrix.shape[:-2]
+    t = matrix.reshape(batch + (da, db, da, db)).swapaxes(-4, -2)
+    return t.reshape(batch + (da * db, da * db))
 
 
 def partial_trace(m: HermitianOperator, keep: Sequence[int]) -> HermitianOperator:

@@ -18,11 +18,17 @@ import numpy as np
 
 from .models import singlet
 from .operators import HermitianOperator, random_unitary
-from .separability import ppt_lower, seesaw_upper
+from .sdp import solve_ppt_sdp_batch
+# ppt_lower stays importable from this module, where perfbench's tracer
+# tests look for it; the search itself calls the batched solver
+from .separability import ppt_lower, seesaw_upper  # noqa: F401
 from .thermo import entanglement_gap_temperature
 
 AFM_SCALED_T = 1.0 / np.log(3.0)
 ZERO_GAP_TOL = 1e-9
+# samples per batched PPT solve; blocks are fixed so that every sample is
+# computed the same way whatever the number of workers
+SEARCH_BLOCK = 1024
 
 
 def afm_reference_temperature() -> float:
@@ -157,6 +163,7 @@ class SearchResult:
     ground: str
     seesaw_checks: int
     seesaw_max_deviation: float
+    n_unconverged: int          # samples whose PPT solve missed its contract
 
     def to_dict(self) -> dict:
         return {
@@ -170,6 +177,7 @@ class SearchResult:
             "ground": self.ground,
             "seesaw_checks": self.seesaw_checks,
             "seesaw_max_deviation": self.seesaw_max_deviation,
+            "n_unconverged": self.n_unconverged,
         }
 
 
@@ -190,17 +198,23 @@ def _sample_basis(rng: np.random.Generator, ground: str) -> np.ndarray:
 
 def _search_chunk(args):
     seed, ground, indices, check_every = args
-    max_t, arg = -np.inf, (np.nan, np.nan, "")
-    skipped = 0
-    checks, max_dev = 0, 0.0
+    samples = []
     for i in indices:
         rng = np.random.default_rng((seed, i))
         e1, e2 = np.sort(rng.uniform(0.0, 1.0, 2))
         basis = _sample_basis(rng, ground)
-        h = family_hamiltonian(e1, e2, basis)
-        # E_tot = 1 here, so 5e-7 on the separable energy keeps the gap
-        # temperature well inside its 1e-6 comparison tolerance
-        e_sep, _ = ppt_lower(h, gap_tol=5e-7)
+        samples.append((i, e1, e2, basis, family_hamiltonian(e1, e2, basis)))
+    # E_tot = 1 here, so 5e-7 on the separable energy keeps the gap
+    # temperature well inside its 1e-6 comparison tolerance
+    results = solve_ppt_sdp_batch(
+        np.array([s[4].matrix for s in samples]), (2, 2), gap_tol=5e-7
+    )
+    max_t, arg = -np.inf, (np.nan, np.nan, "")
+    skipped = unconverged = checks = 0
+    max_dev = 0.0
+    for (i, e1, e2, basis, h), res in zip(samples, results):
+        e_sep = res.value
+        unconverged += not res.converged
         if check_every and i % check_every == 0:
             up, _ = seesaw_upper(h, restarts=8, seed=i)
             checks += 1
@@ -216,7 +230,7 @@ def _search_chunk(args):
                 float(e2),
                 hashlib.sha1(np.ascontiguousarray(basis).tobytes()).hexdigest()[:12],
             )
-    return max_t, arg, skipped, checks, max_dev
+    return max_t, arg, skipped, checks, max_dev, unconverged
 
 
 def default_workers() -> int:
@@ -238,32 +252,36 @@ def random_search(
     report the largest scaled gap temperature found.
 
     Deterministic for fixed (n_samples, seed, ground): each sample owns
-    generator (seed, index), and the reduction is an order-independent
-    max.  Samples whose ground manifold holds a product state (zero gap)
-    are skipped and counted.  Every ``check_every`` samples the PPT value
-    is cross-checked against a seesaw upper bound.
+    generator (seed, index), the PPT solves run in fixed blocks of
+    ``SEARCH_BLOCK`` samples whatever the worker count, and the reduction
+    is an order-independent max.  Samples whose ground manifold holds a
+    product state (zero gap) are skipped and counted.  Samples whose PPT
+    solve missed its contract are counted in ``n_unconverged``: a looser
+    lower bound can only lower a sample's temperature, so a zero count
+    says the comparison with 1/ln 3 was not weakened.  Every
+    ``check_every`` samples the PPT value is cross-checked against a
+    seesaw upper bound.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     workers = default_workers() if workers is None else max(1, workers)
     indices = np.arange(n_samples)
-    if workers == 1:
-        parts = [_search_chunk((seed, ground, indices, check_every))]
+    blocks = [
+        (seed, ground, indices[k : k + SEARCH_BLOCK], check_every)
+        for k in range(0, n_samples, SEARCH_BLOCK)
+    ]
+    if workers == 1 or len(blocks) == 1:
+        parts = [_search_chunk(b) for b in blocks]
     else:
-        chunks = np.array_split(indices, workers * 4)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _search_chunk,
-                    [(seed, ground, c, check_every) for c in chunks if len(c)],
-                )
-            )
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            parts = list(pool.map(_search_chunk, blocks))
     max_t, arg = -np.inf, (np.nan, np.nan, "")
-    skipped = checks = 0
+    skipped = checks = unconverged = 0
     max_dev = 0.0
-    for part_t, part_arg, part_skip, part_checks, part_dev in parts:
+    for part_t, part_arg, part_skip, part_checks, part_dev, part_unconv in parts:
         skipped += part_skip
         checks += part_checks
+        unconverged += part_unconv
         max_dev = max(max_dev, part_dev)
         if part_t > max_t:
             max_t, arg = part_t, part_arg
@@ -278,4 +296,5 @@ def random_search(
         ground=ground,
         seesaw_checks=checks,
         seesaw_max_deviation=float(max_dev),
+        n_unconverged=unconverged,
     )

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from entgap import twoqubit
 from entgap.models import singlet
 from entgap.separability import ppt_lower
 from entgap.twoqubit import (
     AFM_SCALED_T,
+    SEARCH_BLOCK,
     _sample_basis,
     afm_reference_temperature,
     e2_bounds,
@@ -124,23 +126,29 @@ def test_boundary_family_is_the_antiferromagnet():
     assert t == pytest.approx(AFM_SCALED_T, abs=1e-6)
 
 
-def test_zero_gap_families_are_skipped_and_counted():
-    # identity eigenbasis puts the (product) state |00> in the ground level
-    res = random_search(5, seed=123)
+def test_zero_gap_families_are_skipped_and_counted(monkeypatch):
+    # a single block is solved in this process: no pool is started
+    monkeypatch.setattr(twoqubit, "ProcessPoolExecutor", None)
+    res = random_search(5, seed=123, workers=2)
     assert res.n_samples == 5
+    monkeypatch.undo()
+    # identity eigenbasis puts the (product) state |00> in the ground level
     h = family_hamiltonian(0.3, 0.6, np.eye(4, dtype=complex))
     e_sep, _ = ppt_lower(h)
     assert abs(e_sep) <= 1e-8  # the ground state is itself a product state
 
 
 def test_random_search_deterministic_and_bounded():
-    res1 = random_search(400, seed=11, workers=1)
-    res2 = random_search(400, seed=11, workers=2)
-    assert res1.max_t == res2.max_t
-    assert res1.n_skipped_zero_gap == res2.n_skipped_zero_gap
-    assert res1.argmax_basis_hash == res2.argmax_basis_hash
+    # more samples than one block, so two workers split the work
+    n = SEARCH_BLOCK + 100
+    res1 = random_search(n, seed=11, workers=1)
+    res2 = random_search(n, seed=11, workers=2)
+    assert res1 == res2
     assert res1.max_t <= AFM_SCALED_T + 1e-6
     assert res1.seesaw_max_deviation <= 1e-6
+    # every PPT solve met its contract, so no sample's bound was loosened
+    assert res1.n_unconverged == 0
+    assert res1.to_dict()["n_unconverged"] == 0
 
 
 def test_random_search_singlet_mode():
