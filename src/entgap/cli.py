@@ -14,12 +14,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import lattices, models, separability, tables, thermo, twoqubit, xy
-from .operators import LanczosError
+from .operators import DENSE_CUTOFF, LanczosError
 
 SCHEMA = 1
 
@@ -30,7 +30,7 @@ class RunConfig:
     restarts: int = 64
     sdp_tol: float = 1e-7
     bisect_tol: float = 1e-10
-    dense_cutoff: int = 4096
+    dense_cutoff: int = DENSE_CUTOFF
     output: str = "pretty"
 
     def __post_init__(self):
@@ -50,6 +50,22 @@ def _load_config(path: str) -> dict:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
     return values
+
+
+def _run_config(args, file_cfg: dict) -> RunConfig:
+    """Each setting from its flag if given, else from the config file
+    (coerced to the type of the field default), else the field default."""
+    unknown = sorted(set(file_cfg) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    values = {}
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name)
+        if flag is not None:
+            values[f.name] = flag
+        elif f.name in file_cfg:
+            values[f.name] = type(f.default)(file_cfg[f.name])
+    return RunConfig(**values)
 
 
 def _emit_json(payload: dict):
@@ -362,22 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         file_cfg = _load_config(args.config) if args.config else {}
-        cfg = RunConfig(
-            seed=args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
-            restarts=args.restarts
-            if args.restarts is not None
-            else int(file_cfg.get("restarts", 64)),
-            sdp_tol=args.sdp_tol
-            if args.sdp_tol is not None
-            else float(file_cfg.get("sdp_tol", 1e-7)),
-            bisect_tol=args.bisect_tol
-            if args.bisect_tol is not None
-            else float(file_cfg.get("bisect_tol", 1e-10)),
-            dense_cutoff=args.dense_cutoff
-            if args.dense_cutoff is not None
-            else int(file_cfg.get("dense_cutoff", 4096)),
-            output=args.output or file_cfg.get("output", "pretty"),
-        )
+        cfg = _run_config(args, file_cfg)
         return args.func(args, cfg)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

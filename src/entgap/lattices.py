@@ -2,14 +2,15 @@
 
 A lattice is a list of bonds on ``n_sites`` qudits; assembling it with a
 two-site coupling produces the sum of that coupling embedded on every
-bond.  Small systems also get a dense matrix; everything gets a
-matrix-free form suitable for Lanczos.
+bond.  Everything gets a matrix-free form suitable for Lanczos; small
+systems also get a dense matrix, built the first time it is read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -155,12 +156,27 @@ class LatticeSpec:
 @dataclass(frozen=True)
 class AssembledLattice:
     """Sum of the coupling over all bonds, in matrix-free and (when the
-    side is small enough) dense form."""
+    side is at most ``dense_cutoff``) dense form."""
 
     spec: LatticeSpec
     coupling: HermitianOperator
     matrix_free: MatrixFreeOperator
-    dense: HermitianOperator | None = field(default=None, repr=False)
+    dense_cutoff: int = DENSE_CUTOFF
+
+    @cached_property
+    def dense(self) -> HermitianOperator | None:
+        """Dense matrix formed column block by column block from the
+        matrix-free apply on first read; None above the cutoff."""
+        side = self.matrix_free.dimension
+        if side > self.dense_cutoff:
+            return None
+        mat = np.zeros((side, side), dtype=complex)
+        block = max(1, min(side, (1 << 22) // side))
+        for start in range(0, side, block):
+            cols = np.zeros((side, min(block, side - start)), dtype=complex)
+            cols[start : start + cols.shape[1]] = np.eye(cols.shape[1])
+            mat[:, start : start + cols.shape[1]] = self.matrix_free.apply(cols)
+        return HermitianOperator(mat, self.matrix_free.dims)
 
 
 def _bond_apply(h2_tensor, bonds, dims):
@@ -203,16 +219,9 @@ def assemble(
     h2_tensor = coupling.matrix.reshape(d, d, d, d)
     apply = _bond_apply(h2_tensor, spec.bonds, dims)
     mf = MatrixFreeOperator(dimension=side, apply=apply, dims=dims)
-    dense = None
-    if side <= dense_cutoff:
-        mat = np.zeros((side, side), dtype=complex)
-        block = max(1, min(side, (1 << 22) // side))
-        for start in range(0, side, block):
-            cols = np.zeros((side, min(block, side - start)), dtype=complex)
-            cols[start : start + cols.shape[1]] = np.eye(cols.shape[1])
-            mat[:, start : start + cols.shape[1]] = apply(cols)
-        dense = HermitianOperator(mat, dims)
-    return AssembledLattice(spec=spec, coupling=coupling, matrix_free=mf, dense=dense)
+    return AssembledLattice(
+        spec=spec, coupling=coupling, matrix_free=mf, dense_cutoff=dense_cutoff
+    )
 
 
 def star_ground_energy_heisenberg(k: int) -> float:

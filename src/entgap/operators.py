@@ -13,11 +13,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 DENSE_CUTOFF = 4096
+
+
+class _ApplyCapReached(Exception):
+    """Raised inside a counted matvec once the application budget is spent."""
 
 
 class LanczosError(RuntimeError):
@@ -272,95 +276,59 @@ def lanczos_ground(
     tol: float = 1e-10,
     max_iter: int = 10000,
     seed: int = 0,
-    krylov_size: int = 200,
 ):
     """Lowest eigenpair of a Hermitian matrix-free operator.
 
-    Lanczos with full reorthogonalization, restarted from the current
-    Ritz vector until the explicit residual ||A v - E v|| drops below
-    ``tol``.  Raises :class:`LanczosError` (carrying the residual
-    reached) if ``max_iter`` matrix applications are exhausted.
+    ARPACK's implicitly restarted Lanczos on a ``LinearOperator`` whose
+    matvec is ``op.apply``, started from a seeded random state.  ARPACK's
+    tolerance is relative to |E|, so the explicit residual ||A v - E v||
+    is checked and the solve repeated from the returned vector with a
+    tighter tolerance until it drops below ``tol``.  Raises
+    :class:`LanczosError` (carrying the residual reached) once
+    ``max_iter`` matrix applications are spent.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = op.dimension
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    if n < 3:
+        raise ValueError("dimension must be >= 3")
+    n_apply = 0
+
+    def matvec(x):
+        nonlocal n_apply
+        if n_apply >= max_iter:
+            raise _ApplyCapReached
+        n_apply += 1
+        return op.apply(x)
+
+    a = LinearOperator((n, n), matvec=matvec, dtype=complex)
     rng = np.random.default_rng(seed)
     v = random_state_vector(n, rng)
-    m_max = min(n, krylov_size)
-    n_apply = 0
-    best = (np.inf, None, None)  # (residual, theta, vector)
-
-    while n_apply < max_iter:
-        basis = np.empty((m_max, n), dtype=complex)
-        basis[0] = v
-        alphas, betas = [], []
-        theta, ritz = None, v
-        k = 0
-        breakdown = False
-        while k < m_max and n_apply < max_iter:
-            w = op.apply(basis[k])
-            n_apply += 1
-            alphas.append(float(np.real(np.vdot(basis[k], w))))
-            vb = basis[: k + 1]
-            # full reorthogonalization, twice for stability
-            for _ in range(2):
-                w = w - (vb.conj() @ w) @ vb
-            beta = float(np.linalg.norm(w))
-            if k == 0:
-                theta, s = alphas[0], np.array([1.0])
-            else:
-                evals, evecs = eigh_tridiagonal(
-                    np.array(alphas), np.array(betas), select="i", select_range=(0, 0)
-                )
-                theta, s = float(evals[0]), evecs[:, 0]
-            ritz = s @ vb
-            # cheap residual bound; confirm explicitly before returning
-            if beta * abs(s[-1]) <= tol or beta <= 1e-13:
-                r = op.apply(ritz) - theta * ritz
-                n_apply += 1
-                res = float(np.linalg.norm(r))
-                if res < best[0]:
-                    best = (res, float(theta), ritz)
-                if res <= tol:
-                    return float(theta), ritz
-                if beta <= 1e-13:
-                    breakdown = True
-                    break
-            betas.append(beta)
-            k += 1
-            basis[k] = w / beta
-        if breakdown:
-            # invariant subspace without the ground state: the start vector
-            # had no ground overlap, so retry from a fresh direction
-            w = random_state_vector(n, rng)
-            w = w - (basis[: k + 1].conj() @ w) @ basis[: k + 1]
-            nw = np.linalg.norm(w)
-            if nw <= 1e-13:
-                return best[1], best[2]  # space exhausted: Ritz value is exact
-            v = w / nw
-            continue
-        # Krylov block full: restart from the best Ritz vector
-        r = op.apply(ritz) - theta * ritz
-        n_apply += 1
-        res = float(np.linalg.norm(r))
-        if res < best[0]:
-            best = (res, float(theta), ritz)
-        if res <= tol:
-            return float(theta), ritz
-        v = ritz / np.linalg.norm(ritz)
-
+    rel = tol
+    try:
+        while True:
+            # eigsh hands complex operators to eigs without its rng; call
+            # eigs so a restart after Krylov breakdown stays seeded
+            w, vecs = eigs(a, k=1, which="SR", v0=v, tol=rel, rng=rng)
+            e, v = float(w[0].real), vecs[:, 0]
+            res = float(np.linalg.norm(matvec(v) - e * v))
+            if res <= tol:
+                return e, v
+            rel *= 0.5 * tol / res
+    except (_ApplyCapReached, ArpackNoConvergence):
+        pass
+    av = op.apply(v)
+    res = float(np.linalg.norm(av - np.vdot(v, av).real * v))
     raise LanczosError(
-        f"no convergence after {max_iter} applications (residual {best[0]:.3e})",
-        residual=best[0],
+        f"no convergence within {max_iter} applications (residual {res:.3e})",
+        residual=res,
     )
 
 
 def ground_energy(m: HermitianOperator, dense_cutoff: int = DENSE_CUTOFF, **kw) -> float:
     """Minimum eigenvalue via dense eig below the cutoff, Lanczos above."""
     if m.dim <= dense_cutoff:
-        return eig(m).e0
+        return eig(m, dense_cutoff).e0
     e, _ = lanczos_ground(as_matrix_free(m), **kw)
     return e
 

@@ -17,6 +17,7 @@ import numpy as np
 from .operators import (
     DENSE_CUTOFF,
     HermitianOperator,
+    MatrixFreeOperator,
     as_matrix_free,
     eig,
     lanczos_ground,
@@ -241,13 +242,13 @@ def entanglement_gap(
     entanglement outright.
     """
     if h.dim <= dense_cutoff:
-        spec = eig(h)
+        spec = eig(h, dense_cutoff)
         e0, e_max = spec.e0, spec.e_max
     else:
-        e0, _ = lanczos_ground(as_matrix_free(h))
-        neg = HermitianOperator(-h.matrix, h.dims)
-        e_max_neg, _ = lanczos_ground(as_matrix_free(neg))
-        e_max = -e_max_neg
+        mf = as_matrix_free(h)
+        e0, _ = lanczos_ground(mf)
+        neg = MatrixFreeOperator(h.dim, lambda v: -mf.apply(v), h.dims)
+        e_max = -lanczos_ground(neg)[0]
     sep = sep_bracket(h, restarts=restarts, seed=seed, gap_tol=gap_tol)
     e_tot = e_max - e0
     gap_lo = sep.lower - e0

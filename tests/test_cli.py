@@ -184,3 +184,22 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     )
     assert code == 0
     assert "E_sep in [" in out2  # flag overrides the file
+
+
+def test_config_file_values_take_the_field_types():
+    from entgap.cli import RunConfig, _run_config, build_parser
+
+    args = build_parser().parse_args(["gap", "--model", "heisenberg", "--seed", "4"])
+    file_cfg = {"seed": "9", "sdp_tol": "1e-6", "dense_cutoff": "8192"}
+    assert _run_config(args, file_cfg) == RunConfig(
+        seed=4, sdp_tol=1e-6, dense_cutoff=8192
+    )
+    assert _run_config(args, {}) == RunConfig(seed=4)
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "entgap.cfg"
+    cfg.write_text("restart = 8\n")
+    code, _, err = run_cli(capsys, "gap", "--model", "heisenberg", "--config", str(cfg))
+    assert code == 2
+    assert "restart" in err

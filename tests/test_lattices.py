@@ -124,6 +124,32 @@ def test_ring_energy_per_bond_above_star2():
         assert e0 / n >= star2 - 1e-9
 
 
+def test_lanczos_residual_is_absolute_on_ring14():
+    # |E0| is about 25 here, so a residual relative to |E0| would miss tol
+    asm = assemble(LatticeSpec.ring(14), heisenberg_pair())
+    e, vec = lanczos_ground(asm.matrix_free, tol=1e-10)
+    assert e < -24
+    assert np.linalg.norm(asm.matrix_free.apply(vec) - e * vec) <= 1e-10
+
+
+def test_dense_form_is_built_only_when_read():
+    import tracemalloc
+
+    asm = assemble(LatticeSpec.ring(12), heisenberg_pair())
+    lanczos_ground(asm.matrix_free)
+    assert "dense" not in asm.__dict__
+    small = assemble(LatticeSpec.ring(4), heisenberg_pair())
+    assert small.dense is small.dense
+    big = assemble(LatticeSpec.ring(14), heisenberg_pair())
+    tracemalloc.start()
+    try:
+        assert big.dense is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
 def test_bond_energy_decomposition_ring4():
     h = heisenberg_pair()
     asm = assemble(LatticeSpec.ring(4), h)

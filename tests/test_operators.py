@@ -183,6 +183,8 @@ def test_lanczos_identity_operator():
     e, vec = lanczos_ground(op, tol=1e-10)
     assert e == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(op.apply(vec) - e * vec) < 1e-10
+    # the Krylov space breaks down at once here; the restart stays seeded
+    assert np.array_equal(lanczos_ground(op, tol=1e-10)[1], vec)
 
 
 def test_lanczos_matches_dense_on_random_hermitian():
@@ -218,6 +220,21 @@ def test_lanczos_reports_residual_on_iteration_cap():
     assert err.value.residual < np.inf
     with pytest.raises(ValueError):
         lanczos_ground(op, tol=0.0)
+
+
+def test_ground_energy_forwards_dense_cutoff(monkeypatch):
+    import entgap.operators as operators
+
+    seen = []
+    real_eig = operators.eig
+
+    def spy(m, dense_cutoff=operators.DENSE_CUTOFF):
+        seen.append(dense_cutoff)
+        return real_eig(m, dense_cutoff)
+
+    monkeypatch.setattr(operators, "eig", spy)
+    assert operators.ground_energy(heisenberg_pair(), dense_cutoff=5000) == pytest.approx(-3.0)
+    assert seen == [5000]
 
 
 def test_json_round_trip_and_validation():

@@ -11,6 +11,7 @@ from entgap.models import (
     xy_pair,
 )
 from entgap.operators import (
+    DENSE_CUTOFF,
     HermitianOperator,
     eig,
     kron,
@@ -271,3 +272,18 @@ def test_gap_report_lanczos_branch_matches_dense():
     assert lanczos_rep.e0 == pytest.approx(dense_rep.e0, abs=1e-8)
     assert lanczos_rep.e_max == pytest.approx(dense_rep.e_max, abs=1e-8)
     assert lanczos_rep.gap_upper == pytest.approx(dense_rep.gap_upper, abs=1e-8)
+
+
+def test_gap_report_forwards_dense_cutoff(monkeypatch):
+    import entgap.separability as separability
+
+    seen = []
+    real_eig = separability.eig
+
+    def spy(m, dense_cutoff=DENSE_CUTOFF):
+        seen.append(dense_cutoff)
+        return real_eig(m, dense_cutoff)
+
+    monkeypatch.setattr(separability, "eig", spy)
+    entanglement_gap(heisenberg_pair(), restarts=2, dense_cutoff=5000)
+    assert seen == [5000]
