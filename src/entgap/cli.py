@@ -181,6 +181,10 @@ def cmd_window(args, cfg: RunConfig) -> int:
     }
     if cfg.output == "json":
         _emit_json(payload)
+    elif cfg.output == "csv":
+        t_low, t_high = window if window is not None else (None, None)
+        _emit_csv([{"model": args.model, "e_sep_reference": e_sep,
+                    "t_low": t_low, "t_high": t_high}])
     else:
         if window is None:
             print("no bound-entanglement window found")
@@ -273,6 +277,8 @@ def cmd_search_2q(args, cfg: RunConfig) -> int:
     payload["afm_reference"] = twoqubit.afm_reference_temperature()
     if cfg.output == "json":
         _emit_json(payload)
+    elif cfg.output == "csv":
+        _emit_csv([payload])
     else:
         print(
             f"max t over {args.samples} samples: {result.max_t:.9f} "

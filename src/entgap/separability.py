@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lattices import LatticeSpec, assemble
 from .operators import (
     DENSE_CUTOFF,
     HermitianOperator,
@@ -306,8 +307,6 @@ def cluster_sep_energy(
     This is the building block for lattices tiled by complete clusters
     (triangles, tetrahedra): the cluster optimum extends to the lattice.
     """
-    from .lattices import LatticeSpec, assemble
-
     if n < 2:
         raise ValueError("cluster needs n >= 2")
     spec = LatticeSpec.complete(n, local_dim=coupling.dims[0])

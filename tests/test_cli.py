@@ -203,3 +203,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gap", "--model", "heisenberg", "--config", str(cfg))
     assert code == 2
     assert "restart" in err
+
+
+def test_window_csv_row(capsys):
+    code, out, _ = run_cli(
+        capsys, "window", "--model", "heisenberg", "--e-sep", "-1.0", "--csv"
+    )
+    assert code == 0
+    assert out.splitlines() == ["model,e_sep_reference,t_low,t_high", "heisenberg,-1.0,,"]
+
+
+def test_search_2q_csv_row(capsys):
+    code, out, _ = run_cli(
+        capsys, "search-2q", "--samples", "20", "--seed", "3", "--workers", "1",
+        "--csv",
+    )
+    assert code == 0
+    header, row, *rest = out.splitlines()
+    assert rest == []
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert "schema" not in fields
+    assert fields["n_samples"] == "20"
+    assert float(fields["max_t"]) <= float(fields["afm_reference"]) + 1e-6

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from entgap.tables import chain_energy_extrapolation, table1_report, table2_report
+from entgap import separability
+from entgap.tables import (
+    CLUSTERS,
+    chain_energy_extrapolation,
+    table1_report,
+    table2_report,
+)
 
 # reference rows: (E0/bond, Esep/bond, gap/bond, scaled gap)
 STAR_REFERENCE = {
@@ -83,3 +89,23 @@ def test_star_rows_stay_above_lattice_rows():
         k = r["coordination"]
         if k in stars and r["source"] != "computed":
             assert r["e0_per_bond"] >= stars[k] - 1e-9
+
+
+def test_each_separable_optimum_is_computed_once(monkeypatch):
+    calls = []
+    seesaw = separability.seesaw_upper
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return seesaw(*args, **kwargs)
+
+    monkeypatch.setattr(separability, "seesaw_upper", counting)
+    table1_report(restarts=4)
+    assert len(calls) == 1
+    calls.clear()
+    rows, _ = table2_report(restarts=4)
+    assert len(calls) == 3
+    by_name = {r["lattice"]: r for r in rows}
+    for cluster, _, tiled in CLUSTERS:
+        for name in tiled:
+            assert by_name[name]["e_sep_per_bond"] == by_name[cluster]["e_sep_per_bond"]
