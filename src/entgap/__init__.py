@@ -22,10 +22,8 @@ from .operators import (
     regroup,
 )
 from .models import (
-    CouplingSpec,
     ces_hamiltonian,
     choi_hamiltonian,
-    coupling_from_identifier,
     from_identifier,
     heisenberg_pair,
     max_entangled_projector_hamiltonian,

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -53,14 +52,16 @@ def _load_config(path: str) -> dict:
 
 
 def _run_config(args, file_cfg: dict) -> RunConfig:
-    """Each setting from its flag if given, else from the config file
-    (coerced to the type of the field default), else the field default."""
+    """Each setting from its flag if the command has one and it was given,
+    else from the config file (coerced to the type of the field default),
+    else the field default.  A config file may set any field, whichever
+    command reads it."""
     unknown = sorted(set(file_cfg) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     values = {}
     for f in fields(RunConfig):
-        flag = getattr(args, f.name)
+        flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
         elif f.name in file_cfg:
@@ -68,40 +69,40 @@ def _run_config(args, file_cfg: dict) -> RunConfig:
     return RunConfig(**values)
 
 
-def _emit_json(payload: dict):
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, sort_keys=True))
+def _write_csv(fh, rows: list[dict]):
+    if rows:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
-def _emit_csv(rows: list[dict]):
-    if not rows:
+def _emit(cfg: RunConfig, payload: dict, rows: list[dict], pretty_lines=()):
+    """The one output path: ``rows`` as CSV, or the schema-tagged JSON
+    line, preceded by ``pretty_lines`` in pretty mode."""
+    if cfg.output == "csv":
+        _write_csv(sys.stdout, rows)
         return
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+    if cfg.output == "pretty":
+        for line in pretty_lines:
+            print(line)
+    print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
 
 
-def _build_model(args, cfg):
-    h = models.from_identifier(args.model)
-    if getattr(args, "lattice", None):
-        if h.n_subsystems != 2 or h.dims[0] != h.dims[1]:
-            raise ValueError("--lattice needs a two-site coupling model")
-        spec = lattices.LatticeSpec.from_identifier(args.lattice, local_dim=h.dims[0])
-        asm = lattices.assemble(spec, h, dense_cutoff=cfg.dense_cutoff)
-        if asm.dense is None:
-            raise ValueError(
-                "assembled lattice exceeds the dense cutoff; gap reports need "
-                "the dense form"
-            )
-        return asm.dense
-    return h
+def _sdp_exit_code(bracket: separability.SepBracket) -> int:
+    """0 when the PPT solve behind the bracket converged, else 3."""
+    return 0 if bracket.certificate.get("sdp_converged", True) else 3
 
 
 def cmd_gap(args, cfg: RunConfig) -> int:
-    h = _build_model(args, cfg)
+    h = models.from_identifier(args.model)
+    if args.lattice:
+        if h.n_subsystems != 2 or h.dims[0] != h.dims[1]:
+            raise ValueError("--lattice needs a two-site coupling model")
+        spec = lattices.LatticeSpec.from_identifier(args.lattice, local_dim=h.dims[0])
+        h = lattices.assemble(spec, h, dense_cutoff=cfg.dense_cutoff).dense
+        if h is None:
+            raise ValueError("assembled lattice exceeds the dense cutoff; gap reports "
+                             "need the dense form")
     report = separability.entanglement_gap(
         h,
         restarts=cfg.restarts,
@@ -111,23 +112,20 @@ def cmd_gap(args, cfg: RunConfig) -> int:
     )
     payload = report.to_dict()
     payload["model"] = args.model
-    if getattr(args, "lattice", None):
+    if args.lattice:
         payload["lattice"] = args.lattice
-    if cfg.output == "json":
-        _emit_json(payload)
-    elif cfg.output == "csv":
-        _emit_csv([payload | {"gap": payload["gap"][1], "gap_lower": payload["gap"][0],
-                              "scaled_gap": payload["scaled_gap"][1],
-                              "scaled_gap_lower": payload["scaled_gap"][0]}])
-    else:
-        print(f"model: {args.model}")
-        print(f"E0 = {report.e0:.9g}   E_max = {report.e_max:.9g}")
-        print(f"E_sep in [{report.sep.lower:.9g}, {report.sep.upper:.9g}]")
-        print(f"gap in [{report.gap_lower:.9g}, {report.gap_upper:.9g}]")
-        print(f"scaled gap in [{report.scaled_gap_lower:.9g}, {report.scaled_gap_upper:.9g}]")
-        print(f"witness offset = {report.witness_offset:.9g}")
-        _emit_json(payload)
-    return 0 if report.sep.certificate.get("sdp_converged", True) else 3
+    row = payload | {"gap": payload["gap"][1], "gap_lower": payload["gap"][0],
+                     "scaled_gap": payload["scaled_gap"][1],
+                     "scaled_gap_lower": payload["scaled_gap"][0]}
+    _emit(cfg, payload, [row], [
+        f"model: {args.model}",
+        f"E0 = {report.e0:.9g}   E_max = {report.e_max:.9g}",
+        f"E_sep in [{report.sep.lower:.9g}, {report.sep.upper:.9g}]",
+        f"gap in [{report.gap_lower:.9g}, {report.gap_upper:.9g}]",
+        f"scaled gap in [{report.scaled_gap_lower:.9g}, {report.scaled_gap_upper:.9g}]",
+        f"witness offset = {report.witness_offset:.9g}",
+    ])
+    return _sdp_exit_code(report.sep)
 
 
 def cmd_temp(args, cfg: RunConfig) -> int:
@@ -136,28 +134,26 @@ def cmd_temp(args, cfg: RunConfig) -> int:
         h, restarts=cfg.restarts, seed=cfg.seed, gap_tol=cfg.sdp_tol
     )
     grid = np.geomspace(args.t_min, args.t_max, args.n_grid)
-    curve = thermo.thermal_curve(h, grid, e_sep=bracket.upper)
+    curve = thermo.thermal_curve(h, grid)
+    t_gap = thermo.entanglement_gap_temperature(h, bracket.upper, tol=cfg.bisect_tol)
+    t_scaled = thermo.scaled_gap_temperature(h, bracket.upper, tol=cfg.bisect_tol)
     t_lower = thermo.entanglement_gap_temperature(h, bracket.lower, tol=cfg.bisect_tol)
     rows = [{"T": t, "U": u, "ppt": int(p)} for (t, u, p) in curve.samples]
     payload = {
         "model": args.model,
         "e_sep_lower": bracket.lower,
         "e_sep_upper": bracket.upper,
-        "t_gap": curve.t_gap,
-        "t_gap_scaled": curve.t_gap_scaled,
+        "t_gap": t_gap,
+        "t_gap_scaled": t_scaled,
         "t_gap_from_lower_bound": t_lower,
         "samples": rows,
     }
-    if cfg.output == "csv":
-        _emit_csv(rows)
-    elif cfg.output == "json":
-        _emit_json(payload)
-    else:
-        print(f"model: {args.model}")
-        print(f"E_sep in [{bracket.lower:.9g}, {bracket.upper:.9g}]")
-        print(f"t_gap = {curve.t_gap}   scaled = {curve.t_gap_scaled}")
-        _emit_json(payload)
-    return 0 if bracket.certificate.get("sdp_converged", True) else 3
+    _emit(cfg, payload, rows, [
+        f"model: {args.model}",
+        f"E_sep in [{bracket.lower:.9g}, {bracket.upper:.9g}]",
+        f"t_gap = {t_gap}   scaled = {t_scaled}",
+    ])
+    return _sdp_exit_code(bracket)
 
 
 def cmd_window(args, cfg: RunConfig) -> int:
@@ -174,59 +170,42 @@ def cmd_window(args, cfg: RunConfig) -> int:
         n_grid=args.n_grid,
         refine_tol=args.refine_tol,
     )
-    payload = {
-        "model": args.model,
-        "e_sep_reference": e_sep,
-        "window": list(window) if window is not None else None,
-    }
-    if cfg.output == "json":
-        _emit_json(payload)
-    elif cfg.output == "csv":
-        t_low, t_high = window if window is not None else (None, None)
-        _emit_csv([{"model": args.model, "e_sep_reference": e_sep,
-                    "t_low": t_low, "t_high": t_high}])
-    else:
-        if window is None:
-            print("no bound-entanglement window found")
-        else:
-            print(f"window: [{window[0]:.4f}, {window[1]:.4f}]")
-        _emit_json(payload)
+    payload = {"model": args.model, "e_sep_reference": e_sep,
+               "window": list(window) if window is not None else None}
+    t_low, t_high = window if window is not None else (None, None)
+    row = {"model": args.model, "e_sep_reference": e_sep, "t_low": t_low, "t_high": t_high}
+    _emit(cfg, payload, [row], [
+        "no bound-entanglement window found" if window is None
+        else f"window: [{t_low:.4f}, {t_high:.4f}]"
+    ])
     return 0
 
 
 def cmd_table1(args, cfg: RunConfig) -> int:
     rows = tables.table1_report(restarts=cfg.restarts, seed=cfg.seed)
-    if cfg.output == "csv":
-        _emit_csv(rows)
-    else:
-        if cfg.output == "pretty":
-            print(f"{'k':>2} {'E0/bond':>10} {'Esep/bond':>10} {'gap/bond':>10} {'scaled':>8}")
-            for r in rows:
-                print(
-                    f"{r['k']:>2} {r['e0_per_bond']:>10.4f} {r['e_sep_per_bond']:>10.4f} "
-                    f"{r['gap_per_bond']:>10.4f} {r['scaled_gap']:>8.4f}"
-                )
-        _emit_json({"rows": rows})
+    _emit(cfg, {"rows": rows}, rows, [
+        f"{'k':>2} {'E0/bond':>10} {'Esep/bond':>10} {'gap/bond':>10} {'scaled':>8}",
+        *(
+            f"{r['k']:>2} {r['e0_per_bond']:>10.4f} {r['e_sep_per_bond']:>10.4f} "
+            f"{r['gap_per_bond']:>10.4f} {r['scaled_gap']:>8.4f}"
+            for r in rows
+        ),
+    ])
     return 0
 
 
 def cmd_table2(args, cfg: RunConfig) -> int:
     rows, meta = tables.table2_report(restarts=cfg.restarts, seed=cfg.seed)
-    if cfg.output == "csv":
-        _emit_csv(rows)
-    else:
-        if cfg.output == "pretty":
-            print(
-                f"{'lattice':<20} {'coord':>5} {'E0/bond':>9} {'Esep/bond':>10} "
-                f"{'gap/bond':>9} {'scaled':>7}  source"
-            )
-            for r in rows:
-                print(
-                    f"{r['lattice']:<20} {r['coordination']:>5} {r['e0_per_bond']:>9.4f} "
-                    f"{r['e_sep_per_bond']:>10.4f} {r['gap_per_bond']:>9.4f} "
-                    f"{r['scaled_gap']:>7.4f}  {r['source']}"
-                )
-        _emit_json({"rows": rows, "meta": meta})
+    _emit(cfg, {"rows": rows, "meta": meta}, rows, [
+        f"{'lattice':<20} {'coord':>5} {'E0/bond':>9} {'Esep/bond':>10} "
+        f"{'gap/bond':>9} {'scaled':>7}  source",
+        *(
+            f"{r['lattice']:<20} {r['coordination']:>5} {r['e0_per_bond']:>9.4f} "
+            f"{r['e_sep_per_bond']:>10.4f} {r['gap_per_bond']:>9.4f} "
+            f"{r['scaled_gap']:>7.4f}  {r['source']}"
+            for r in rows
+        ),
+    ])
     return 0
 
 
@@ -242,30 +221,18 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_xy_scan(args, cfg: RunConfig) -> int:
     gammas = _parse_grid(args.gamma)
-    lams = _parse_grid(getattr(args, "lambda_grid"))
+    lams = _parse_grid(args.lambda_grid)
     points = xy.xy_gap_surface(gammas, lams)
-    rows = [
-        {
-            "gamma": p.gamma,
-            "lambda": p.lam,
-            "e_sep": p.e_sep_bond,
-            "e0": p.e0_site,
-            "e_max": p.e_max_site,
-            "gap": p.gap_bond,
-            "scaled_gap": p.scaled_gap,
-        }
-        for p in points
-    ]
+    rows = [{"gamma": p.gamma, "lambda": p.lam, "e_sep": p.e_sep_bond, "e0": p.e0_site,
+             "e_max": p.e_max_site, "gap": p.gap_bond, "scaled_gap": p.scaled_gap}
+            for p in points]
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        _emit_json({"points": len(rows), "out": args.out})
-    elif cfg.output == "csv":
-        _emit_csv(rows)
+            _write_csv(fh, rows)
+        # the surface went to the file; stdout gets its JSON summary line
+        _emit(replace(cfg, output="json"), {"points": len(rows), "out": args.out}, [])
     else:
-        _emit_json({"rows": rows})
+        _emit(cfg, {"rows": rows}, rows)
     return 0
 
 
@@ -275,16 +242,10 @@ def cmd_search_2q(args, cfg: RunConfig) -> int:
     )
     payload = result.to_dict()
     payload["afm_reference"] = twoqubit.afm_reference_temperature()
-    if cfg.output == "json":
-        _emit_json(payload)
-    elif cfg.output == "csv":
-        _emit_csv([payload])
-    else:
-        print(
-            f"max t over {args.samples} samples: {result.max_t:.9f} "
-            f"(AFM reference {payload['afm_reference']:.9f})"
-        )
-        _emit_json(payload)
+    _emit(cfg, payload, [payload], [
+        f"max t over {args.samples} samples: {result.max_t:.9f} "
+        f"(AFM reference {payload['afm_reference']:.9f})"
+    ])
     return 0
 
 
@@ -293,58 +254,51 @@ def cmd_compare_temps(args, cfg: RunConfig) -> int:
     rows = thermo.temperature_comparison(
         dims, n_samples=args.samples, seed=cfg.seed, gap_tol=cfg.sdp_tol
     )
-    if cfg.output == "csv":
-        flat = [
-            {
-                "d": r["d"],
-                "t_maxent": r["t_maxent"],
-                "t_symproj": r["t_symproj"],
-                "t_ces_lower": r["t_ces_bracket"][0],
-                "t_ces_upper": r["t_ces_bracket"][1],
-            }
-            for r in rows
-        ]
-        _emit_csv(flat)
-    else:
-        _emit_json({"rows": rows})
+    flat = [{"d": r["d"], "t_maxent": r["t_maxent"], "t_symproj": r["t_symproj"],
+             "t_ces_lower": r["t_ces_bracket"][0], "t_ces_upper": r["t_ces_bracket"][1]}
+            for r in rows]
+    _emit(cfg, {"rows": rows}, flat)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--restarts", type=int, default=None)
-    common.add_argument("--sdp-tol", type=float, default=None)
-    common.add_argument("--bisect-tol", type=float, default=None)
-    common.add_argument("--dense-cutoff", type=int, default=None)
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_const", dest="output", const="json")
-    fmt.add_argument("--csv", action="store_const", dest="output", const="csv")
-    fmt.add_argument("--pretty", action="store_const", dest="output", const="pretty")
-    common.set_defaults(output=None)
+def _add_command(sub, name, func, settings, summary):
+    """A subcommand with ``--config``, the format group and a flag for each
+    ``RunConfig`` setting in ``settings`` (the ones ``func`` reads)."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--config", help="key=value config file")
+    for setting in settings:
+        p.add_argument("--" + setting.replace("_", "-"),
+                       type=type(getattr(RunConfig, setting)), default=None)
+    fmt = p.add_mutually_exclusive_group()
+    for output in ("json", "csv", "pretty"):
+        fmt.add_argument("--" + output, action="store_const", dest="output", const=output)
+    p.set_defaults(func=func, output=None)
+    return p
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entgap",
         description="Certified separable-energy brackets, entanglement gaps "
         "and gap temperatures for spin Hamiltonians.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = ("seed", "restarts")
 
-    p = sub.add_parser("gap", parents=[common],
-                       help="entanglement-gap report for a model")
+    p = _add_command(sub, "gap", cmd_gap, (*seeded, "sdp_tol", "dense_cutoff"),
+                     "entanglement-gap report for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--lattice")
-    p.set_defaults(func=cmd_gap)
 
-    p = sub.add_parser("temp", parents=[common], help="thermal curve and gap temperature")
+    p = _add_command(sub, "temp", cmd_temp, (*seeded, "sdp_tol", "bisect_tol"),
+                     "thermal curve and gap temperature")
     p.add_argument("--model", required=True)
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=5.0)
     p.add_argument("--n-grid", type=int, default=40)
-    p.set_defaults(func=cmd_temp)
 
-    p = sub.add_parser("window", parents=[common], help="bound-entanglement temperature window")
+    p = _add_command(sub, "window", cmd_window, seeded,
+                     "bound-entanglement temperature window")
     p.add_argument("--model", required=True)
     p.add_argument("--e-sep", type=float, default=None,
                    help="override the separable-energy reference")
@@ -352,30 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=3.0)
     p.add_argument("--n-grid", type=int, default=80)
     p.add_argument("--refine-tol", type=float, default=1e-4)
-    p.set_defaults(func=cmd_window)
 
-    p = sub.add_parser("table1", parents=[common], help="star-graph gap table")
-    p.set_defaults(func=cmd_table1)
+    _add_command(sub, "table1", cmd_table1, seeded, "star-graph gap table")
+    _add_command(sub, "table2", cmd_table2, seeded, "lattice gap table")
 
-    p = sub.add_parser("table2", parents=[common], help="lattice gap table")
-    p.set_defaults(func=cmd_table2)
-
-    p = sub.add_parser("xy-scan", parents=[common], help="XY gap surface scan")
+    p = _add_command(sub, "xy-scan", cmd_xy_scan, (), "XY gap surface scan")
     p.add_argument("--gamma", default="0:1:0.05")
     p.add_argument("--lambda", dest="lambda_grid", default="0:2:0.05")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_xy_scan)
 
-    p = sub.add_parser("search-2q", parents=[common], help="random two-qubit gap-temperature search")
+    p = _add_command(sub, "search-2q", cmd_search_2q, ("seed",),
+                     "random two-qubit gap-temperature search")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--ground", choices=["haar", "singlet"], default="haar")
     p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(func=cmd_search_2q)
 
-    p = sub.add_parser("compare-temps", parents=[common], help="projector-family gap temperatures")
+    p = _add_command(sub, "compare-temps", cmd_compare_temps, ("seed", "sdp_tol"),
+                     "projector-family gap temperatures")
     p.add_argument("--dims", default="3,4,5,6")
     p.add_argument("--samples", type=int, default=20000)
-    p.set_defaults(func=cmd_compare_temps)
     return parser
 
 

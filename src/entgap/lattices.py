@@ -29,7 +29,6 @@ class LatticeSpec:
     n_sites: int
     local_dim: int
     bonds: tuple
-    generator: str | None = None
     bipartition: tuple | None = None
 
     def __post_init__(self):
@@ -65,7 +64,7 @@ class LatticeSpec:
             raise ValueError("star needs k >= 1")
         bonds = tuple((0, i) for i in range(1, k + 1))
         colors = (0,) + (1,) * k
-        return cls(k + 1, local_dim, bonds, generator=f"star:{k}", bipartition=colors)
+        return cls(k + 1, local_dim, bonds, bipartition=colors)
 
     @classmethod
     def ring(cls, n: int, local_dim: int = 2) -> "LatticeSpec":
@@ -73,7 +72,7 @@ class LatticeSpec:
             raise ValueError("ring needs n >= 3")
         bonds = tuple((i, (i + 1) % n) for i in range(n))
         colors = tuple(i % 2 for i in range(n)) if n % 2 == 0 else None
-        return cls(n, local_dim, bonds, generator=f"ring:{n}", bipartition=colors)
+        return cls(n, local_dim, bonds, bipartition=colors)
 
     @classmethod
     def chain(cls, n: int, local_dim: int = 2) -> "LatticeSpec":
@@ -81,23 +80,23 @@ class LatticeSpec:
             raise ValueError("chain needs n >= 2")
         bonds = tuple((i, i + 1) for i in range(n - 1))
         colors = tuple(i % 2 for i in range(n))
-        return cls(n, local_dim, bonds, generator=f"chain:{n}", bipartition=colors)
+        return cls(n, local_dim, bonds, bipartition=colors)
 
     @classmethod
     def triangle(cls, local_dim: int = 2) -> "LatticeSpec":
-        return cls(3, local_dim, ((0, 1), (1, 2), (0, 2)), generator="triangle")
+        return cls(3, local_dim, ((0, 1), (1, 2), (0, 2)))
 
     @classmethod
     def tetrahedron(cls, local_dim: int = 2) -> "LatticeSpec":
         bonds = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-        return cls(4, local_dim, bonds, generator="tetrahedron")
+        return cls(4, local_dim, bonds)
 
     @classmethod
     def complete(cls, n: int, local_dim: int = 2) -> "LatticeSpec":
         if n < 2:
             raise ValueError("complete graph needs n >= 2")
         bonds = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        return cls(n, local_dim, bonds, generator=f"complete:{n}")
+        return cls(n, local_dim, bonds)
 
     @classmethod
     def from_identifier(cls, text: str, local_dim: int = 2) -> "LatticeSpec":

@@ -8,8 +8,6 @@ returns a :class:`~entgap.operators.HermitianOperator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import HermitianOperator, operator_from_json
@@ -196,57 +194,6 @@ def upb_hamiltonian(basis: str = "tiles") -> HermitianOperator:
     return HermitianOperator(m, (d, d))
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
-    """A named two-site coupling; ``custom`` carries an explicit operator."""
-
-    kind: str
-    gamma: float = 0.0
-    lam: float = 0.0
-    delta: float = 1.0
-    custom: HermitianOperator | None = None
-
-    @property
-    def local_dim(self) -> int:
-        if self.kind == "custom":
-            return self.custom.dims[0]
-        return 2
-
-    def build(self) -> HermitianOperator:
-        if self.kind == "heisenberg":
-            return heisenberg_pair()
-        if self.kind == "xy":
-            return xy_pair(self.gamma, self.lam)
-        if self.kind == "xxz":
-            return xxz_pair(self.delta)
-        if self.kind == "custom":
-            return self.custom
-        raise ValueError(f"unknown coupling kind {self.kind!r}")
-
-
-def coupling_from_identifier(text: str) -> CouplingSpec:
-    """Parse a two-site coupling id: heisenberg | xy:g:l | xxz:d | file:<path>."""
-    parts = text.split(":")
-    name = parts[0]
-    if name == "heisenberg":
-        return CouplingSpec("heisenberg")
-    if name == "xy":
-        if len(parts) != 3:
-            raise ValueError("xy coupling needs two parameters, e.g. xy:0.5:1.0")
-        return CouplingSpec("xy", gamma=float(parts[1]), lam=float(parts[2]))
-    if name == "xxz":
-        if len(parts) != 2:
-            raise ValueError("xxz coupling needs one parameter, e.g. xxz:0.5")
-        return CouplingSpec("xxz", delta=float(parts[1]))
-    if name == "file":
-        with open(text.split(":", 1)[1]) as fh:
-            op = operator_from_json(fh.read())
-        if op.n_subsystems != 2:
-            raise ValueError("a coupling operator must have exactly two factors")
-        return CouplingSpec("custom", custom=op)
-    raise ValueError(f"unknown coupling identifier {text!r}")
-
-
 def from_identifier(text: str) -> HermitianOperator:
     """Build any named model Hamiltonian from its CLI identifier.
 
@@ -255,8 +202,16 @@ def from_identifier(text: str) -> HermitianOperator:
     """
     parts = text.split(":")
     name = parts[0]
-    if name in ("heisenberg", "xy", "xxz"):
-        return coupling_from_identifier(text).build()
+    if name == "heisenberg":
+        return heisenberg_pair()
+    if name == "xy":
+        if len(parts) != 3:
+            raise ValueError("xy coupling needs two parameters, e.g. xy:0.5:1.0")
+        return xy_pair(float(parts[1]), float(parts[2]))
+    if name == "xxz":
+        if len(parts) != 2:
+            raise ValueError("xxz coupling needs one parameter, e.g. xxz:0.5")
+        return xxz_pair(float(parts[1]))
     if name == "maxent":
         return max_entangled_projector_hamiltonian(int(parts[1]))
     if name == "symproj":

@@ -94,22 +94,33 @@ class GapReport:
         }
 
 
-def _effective_site_operator(h_tensor, dims, vecs, site):
-    """Contract H with every factor except ``site``; the result is the
-    single-site operator whose ground state is the optimal replacement."""
+def _contraction_plan(h_tensor, dims) -> list:
+    """Per site, the einsum that contracts H with every other factor and
+    its greedy contraction path.  Both depend only on the shapes, so a
+    seesaw call finds them once instead of once per step."""
     k = len(dims)
     letters = string.ascii_letters
     bra, ket = letters[:k], letters[k : 2 * k]
-    operands, subs = [h_tensor], [bra + ket]
-    for j in range(k):
-        if j == site:
-            continue
-        operands.append(vecs[j].conj())
-        subs.append(bra[j])
-        operands.append(vecs[j])
-        subs.append(ket[j])
-    out = bra[site] + ket[site]
-    m = np.einsum(",".join(subs) + "->" + out, *operands, optimize="greedy")
+    plan = []
+    for site in range(k):
+        others = [j for j in range(k) if j != site]
+        subs = [bra + ket] + [c for j in others for c in (bra[j], ket[j])]
+        expr = ",".join(subs) + "->" + bra[site] + ket[site]
+        vecs = [np.empty(dims[j], dtype=complex) for j in others for _ in ("bra", "ket")]
+        path, _ = np.einsum_path(expr, h_tensor, *vecs, optimize="greedy")
+        plan.append((expr, path))
+    return plan
+
+
+def _effective_site_operator(h_tensor, plan, vecs, site):
+    """Contract H with every factor except ``site``; the result is the
+    single-site operator whose ground state is the optimal replacement."""
+    expr, path = plan[site]
+    operands = [h_tensor]
+    for j, v in enumerate(vecs):
+        if j != site:
+            operands += [v.conj(), v]
+    m = np.einsum(expr, *operands, optimize=path)
     return (m + m.conj().T) / 2
 
 
@@ -133,7 +144,6 @@ def seesaw_upper(
     h: HermitianOperator,
     restarts: int = 64,
     seed: int = 0,
-    tol: float = SEESAW_CONVERGENCE,
     return_trace: bool = False,
 ):
     """Best exact product-state energy found by multi-start coordinate descent.
@@ -150,6 +160,7 @@ def seesaw_upper(
     dims = h.dims
     k = len(dims)
     h_tensor = h.matrix.reshape(dims + dims)
+    plan = _contraction_plan(h_tensor, dims)
     best_energy, best_state, best_traces = np.inf, None, None
 
     for restart in range(restarts):
@@ -159,10 +170,10 @@ def seesaw_upper(
         e_prev = np.inf
         for _ in range(MAX_SWEEPS):
             for s in range(k):
-                m = _effective_site_operator(h_tensor, dims, vecs, s)
+                m = _effective_site_operator(h_tensor, plan, vecs, s)
                 vecs[s], e_now = _ground_factor(m, vecs[s])
                 trace.append(e_now)
-            if e_prev - trace[-1] < tol:
+            if e_prev - trace[-1] < SEESAW_CONVERGENCE:
                 break
             e_prev = trace[-1]
         state = ProductState(tuple(vecs))

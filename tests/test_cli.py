@@ -225,3 +225,86 @@ def test_search_2q_csv_row(capsys):
     assert "schema" not in fields
     assert fields["n_samples"] == "20"
     assert float(fields["max_t"]) <= float(fields["afm_reference"]) + 1e-6
+
+
+SETTINGS = ("seed", "restarts", "sdp_tol", "bisect_tol", "dense_cutoff")
+SETTING_VALUES = {"seed": "5", "restarts": "5", "sdp_tol": "1e-6", "bisect_tol": "1e-6",
+                  "dense_cutoff": "5000"}
+# the RunConfig settings each command reads; the parser accepts exactly these
+READS = {
+    "gap": ("seed", "restarts", "sdp_tol", "dense_cutoff"),
+    "temp": ("seed", "restarts", "sdp_tol", "bisect_tol"),
+    "window": ("seed", "restarts"),
+    "table1": ("seed", "restarts"),
+    "table2": ("seed", "restarts"),
+    "search-2q": ("seed",),
+    "compare-temps": ("seed", "sdp_tol"),
+    "xy-scan": (),
+}
+REQUIRED = {"gap": ["--model", "heisenberg"], "temp": ["--model", "heisenberg"],
+            "window": ["--model", "heisenberg"]}
+PAIRS = [(cmd, s) for cmd in READS for s in SETTINGS]
+
+
+@pytest.mark.parametrize("command,setting", [p for p in PAIRS if p[1] in READS[p[0]]])
+def test_read_setting_is_accepted(command, setting):
+    from entgap.cli import RunConfig, _run_config, build_parser
+
+    flag = "--" + setting.replace("_", "-")
+    argv = [command, *REQUIRED.get(command, []), flag, SETTING_VALUES[setting]]
+    cfg = _run_config(build_parser().parse_args(argv), {})
+    kind = type(getattr(RunConfig, setting))
+    assert getattr(cfg, setting) == kind(SETTING_VALUES[setting])
+
+
+@pytest.mark.parametrize("command,setting", [p for p in PAIRS if p[1] not in READS[p[0]]])
+def test_unread_setting_is_a_usage_error(command, setting, capsys):
+    flag = "--" + setting.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED.get(command, []), flag, SETTING_VALUES[setting]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--model", "heisenberg", "--restarts", "4"],
+    ["temp", "--model", "heisenberg", "--n-grid", "4", "--restarts", "4"],
+    ["window", "--model", "heisenberg", "--e-sep", "-1.0", "--n-grid", "8"],
+    ["table1", "--restarts", "4"],
+    ["table2", "--restarts", "2"],
+    ["xy-scan", "--gamma", "0:1:0.5", "--lambda", "0:1:0.5"],
+    ["search-2q", "--samples", "20", "--workers", "1"],
+    ["compare-temps", "--dims", "3", "--samples", "200"],
+], ids=lambda argv: argv[0])
+def test_pretty_ends_with_the_json_line(argv, capsys):
+    code, pretty, _ = run_cli(capsys, *argv, "--pretty")
+    assert code == 0
+    code, as_json, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert as_json.count("\n") == 1
+    assert pretty.splitlines()[-1] + "\n" == as_json
+
+
+def test_temp_bisect_tol_sets_both_gap_temperatures(capsys):
+    from entgap.models import heisenberg_pair
+    from entgap.thermo import entanglement_gap_temperature, scaled_gap_temperature
+
+    code, out, _ = run_cli(
+        capsys, "temp", "--model", "heisenberg", "--bisect-tol", "0.05", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    h, e_sep = heisenberg_pair(), payload["e_sep_upper"]
+    assert payload["t_gap"] == entanglement_gap_temperature(h, e_sep, tol=0.05)
+    assert payload["t_gap_scaled"] == scaled_gap_temperature(h, e_sep, tol=0.05)
+    assert payload["t_gap"] != entanglement_gap_temperature(h, e_sep)
+
+
+def test_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "entgap.cfg"
+    cfg.write_text("bisect_tol = 1e-6\nrestarts = 4\n")
+    code, out, _ = run_cli(
+        capsys, "gap", "--model", "heisenberg", "--config", str(cfg), "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["e0"] == pytest.approx(-3.0, abs=1e-9)

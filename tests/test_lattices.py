@@ -45,7 +45,7 @@ def test_bipartition_coloring():
 
 
 def test_identifier_parsing(tmp_path):
-    assert LatticeSpec.from_identifier("star:4").generator == "star:4"
+    assert LatticeSpec.from_identifier("star:4") == LatticeSpec.star(4)
     assert LatticeSpec.from_identifier("ring:6").n_sites == 6
     assert LatticeSpec.from_identifier("tetrahedron").n_sites == 4
     path = tmp_path / "lat.json"

@@ -6,7 +6,6 @@ from entgap.models import (
     ces_hamiltonian,
     ces_projector,
     choi_hamiltonian,
-    coupling_from_identifier,
     from_identifier,
     heisenberg_pair,
     max_entangled_projector_hamiltonian,
@@ -124,8 +123,8 @@ def test_identifier_parsing():
     assert from_identifier("ces:3").dims == (3, 3)
     assert from_identifier("choi").dims == (3, 3)
     assert from_identifier("upb:tiles").dims == (3, 3)
-    spec = coupling_from_identifier("xxz:0.5")
-    assert spec.delta == 0.5 and spec.local_dim == 2
+    h = from_identifier("xxz:0.5")
+    assert h.dims == (2, 2) and np.array_equal(h.matrix, xxz_pair(0.5).matrix)
     for bad in ("nosuch", "xy:1", "xxz", "upb:zzz"):
         with pytest.raises(ValueError):
             from_identifier(bad)
@@ -138,8 +137,7 @@ def test_identifier_file_round_trip(tmp_path):
     path.write_text(operator_to_json(heisenberg_pair()))
     h = from_identifier(f"file:{path}")
     assert np.max(np.abs(h.matrix - heisenberg_pair().matrix)) < 1e-15
-    spec = coupling_from_identifier(f"file:{path}")
-    assert spec.kind == "custom" and spec.build().dims == (2, 2)
+    assert h.dims == (2, 2)
 
 
 def test_max_entangled_state_normalization():

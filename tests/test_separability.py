@@ -21,6 +21,8 @@ from entgap.operators import (
 )
 from entgap.separability import (
     ProductState,
+    _contraction_plan,
+    _effective_site_operator,
     bipartite_lattice_sep_energy,
     build_witness,
     cluster_sep_energy,
@@ -67,6 +69,24 @@ def test_seesaw_energy_trace_non_increasing():
         _, _, trace = seesaw_upper(h, restarts=4, seed=seed, return_trace=True)
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-12)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (2, 2, 2, 2), (2,) * 5])
+def test_planned_contraction_matches_fresh_greedy_einsum(dims):
+    rng = np.random.default_rng(len(dims) * 10 + dims[0])
+    n = int(np.prod(dims))
+    h_tensor = random_hermitian(n, rng).reshape(dims + dims)
+    vecs = [random_state_vector(d, rng) for d in dims]
+    plan = _contraction_plan(h_tensor, dims)
+    for site, (expr, _) in enumerate(plan):
+        operands = [h_tensor]
+        for j, v in enumerate(vecs):
+            if j != site:
+                operands += [v.conj(), v]
+        fresh = np.einsum(expr, *operands, optimize="greedy")
+        fresh = (fresh + fresh.conj().T) / 2
+        planned = _effective_site_operator(h_tensor, plan, vecs, site)
+        assert planned.tobytes() == fresh.tobytes()
 
 
 def test_seesaw_validation():
