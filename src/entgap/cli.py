@@ -99,10 +99,10 @@ def cmd_gap(args, cfg: RunConfig) -> int:
         if h.n_subsystems != 2 or h.dims[0] != h.dims[1]:
             raise ValueError("--lattice needs a two-site coupling model")
         spec = lattices.LatticeSpec.from_identifier(args.lattice, local_dim=h.dims[0])
+        if spec.dim > cfg.dense_cutoff:
+            raise ValueError(f"lattice side {spec.dim} exceeds the dense cutoff "
+                             f"{cfg.dense_cutoff}; gap reports need the dense form")
         h = lattices.assemble(spec, h, dense_cutoff=cfg.dense_cutoff).dense
-        if h is None:
-            raise ValueError("assembled lattice exceeds the dense cutoff; gap reports "
-                             "need the dense form")
     report = separability.entanglement_gap(
         h,
         restarts=cfg.restarts,

@@ -2,8 +2,8 @@
 
 A lattice is a list of bonds on ``n_sites`` qudits; assembling it with a
 two-site coupling produces the sum of that coupling embedded on every
-bond.  Everything gets a matrix-free form suitable for Lanczos; small
-systems also get a dense matrix, built the first time it is read.
+bond, stored as one sparse matrix.  Its matvec serves Lanczos; small
+systems also get a dense copy, built the first time it is read.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .operators import (
     DENSE_CUTOFF,
@@ -20,6 +21,8 @@ from .operators import (
     MatrixFreeOperator,
     partial_trace,
 )
+
+MAX_SIDE = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -154,55 +157,58 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class AssembledLattice:
-    """Sum of the coupling over all bonds, in matrix-free and (when the
-    side is at most ``dense_cutoff``) dense form."""
+    """Sum of the coupling over all bonds as one sparse matrix; the
+    matrix-free apply and the dense form (when the side is at most
+    ``dense_cutoff``) both read it."""
 
     spec: LatticeSpec
     coupling: HermitianOperator
-    matrix_free: MatrixFreeOperator
+    matrix: sparse.csr_array
     dense_cutoff: int = DENSE_CUTOFF
 
     @cached_property
+    def matrix_free(self) -> MatrixFreeOperator:
+        """The sparse matvec; accepts (D,) or (D, B)."""
+        dims = (self.spec.local_dim,) * self.spec.n_sites
+        return MatrixFreeOperator(self.spec.dim, self.matrix.__matmul__, dims)
+
+    @cached_property
     def dense(self) -> HermitianOperator | None:
-        """Dense matrix formed column block by column block from the
-        matrix-free apply on first read; None above the cutoff."""
-        side = self.matrix_free.dimension
-        if side > self.dense_cutoff:
+        """Dense copy of ``matrix`` on first read; None above the cutoff."""
+        if self.spec.dim > self.dense_cutoff:
             return None
-        mat = np.zeros((side, side), dtype=complex)
-        block = max(1, min(side, (1 << 22) // side))
-        for start in range(0, side, block):
-            cols = np.zeros((side, min(block, side - start)), dtype=complex)
-            cols[start : start + cols.shape[1]] = np.eye(cols.shape[1])
-            mat[:, start : start + cols.shape[1]] = self.matrix_free.apply(cols)
-        return HermitianOperator(mat, self.matrix_free.dims)
+        return HermitianOperator(self.matrix.toarray(), self.matrix_free.dims)
 
 
-def _bond_apply(h2_tensor, bonds, dims):
-    """Return a closure applying sum_bonds H_ij; accepts (D,) or (D, B)."""
-    k = len(dims)
+def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.csr_array:
+    """``h2`` on sites i < j (first factor on i), identity elsewhere.
 
-    def apply(vec):
-        v = np.asarray(vec, dtype=complex)
-        batch = v.shape[1:] if v.ndim > 1 else ()
-        t = v.reshape(dims + batch)
-        out = np.zeros_like(t)
-        for (i, j) in bonds:
-            # contract bond ket axes, then put the new axes back in place
-            r = np.tensordot(h2_tensor, t, axes=([2, 3], [i, j]))
-            out += np.moveaxis(r, (0, 1), (i, j))
-        return out.reshape(v.shape)
-
-    return apply
+    A basis index is the number whose base-d digits are the site states,
+    site 0 most significant.  Each nonzero h2[p, q] links every index
+    with digits (q // d, q % d) on (i, j) to the one with (p // d, p % d)
+    there and the same other digits.
+    """
+    d, n = spec.local_dim, spec.n_sites
+    # int32 indices: MAX_SIDE keeps every index below 2**31
+    free = np.arange(spec.dim, dtype=np.int32).reshape((d,) * n)[
+        tuple(0 if k in (i, j) else slice(None) for k in range(n))
+    ].ravel()
+    pair = np.arange(d * d, dtype=np.int32)
+    offset = (pair // d) * d ** (n - 1 - i) + (pair % d) * d ** (n - 1 - j)
+    out, inp = np.nonzero(h2)
+    rows = (offset[out, None] + free).ravel()
+    cols = (offset[inp, None] + free).ravel()
+    data = np.repeat(h2[out, inp], free.size)
+    return sparse.csr_array((data, (rows, cols)), shape=(spec.dim, spec.dim))
 
 
 def assemble(
     spec: LatticeSpec,
     coupling: HermitianOperator,
     dense_cutoff: int = DENSE_CUTOFF,
-    max_side: int = 2 ** 20,
 ) -> AssembledLattice:
-    """Embed the two-site coupling on every bond of the lattice."""
+    """Embed the two-site coupling on every bond of the lattice and sum
+    the bond matrices in bond order."""
     if coupling.n_subsystems != 2 or coupling.dims[0] != coupling.dims[1]:
         raise ValueError("coupling must act on two factors of equal dimension")
     if coupling.dims[0] != spec.local_dim:
@@ -211,15 +217,13 @@ def assemble(
             f"lattice local dimension {spec.local_dim}"
         )
     side = spec.dim
-    if side > max_side:
-        raise ValueError(f"side {side} exceeds the configured maximum {max_side}")
-    d = spec.local_dim
-    dims = (d,) * spec.n_sites
-    h2_tensor = coupling.matrix.reshape(d, d, d, d)
-    apply = _bond_apply(h2_tensor, spec.bonds, dims)
-    mf = MatrixFreeOperator(dimension=side, apply=apply, dims=dims)
+    if side > MAX_SIDE:
+        raise ValueError(f"side {side} exceeds the maximum {MAX_SIDE}")
+    matrix = sparse.csr_array((side, side), dtype=complex)
+    for (i, j) in spec.bonds:
+        matrix = matrix + _bond_matrix(coupling.matrix, i, j, spec)
     return AssembledLattice(
-        spec=spec, coupling=coupling, matrix_free=mf, dense_cutoff=dense_cutoff
+        spec=spec, coupling=coupling, matrix=matrix, dense_cutoff=dense_cutoff
     )
 
 

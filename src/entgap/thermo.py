@@ -26,11 +26,9 @@ BISECT_CAP = 200
 
 @dataclass(frozen=True)
 class ThermalCurve:
-    """Sampled (T, U, ppt) triples plus the gap temperature when defined."""
+    """Sampled (T, U, ppt) triples."""
 
     samples: tuple
-    t_gap: float | None = None
-    t_gap_scaled: float | None = None
 
     def __post_init__(self):
         ts = [s[0] for s in self.samples]
@@ -137,11 +135,9 @@ def is_gibbs_ppt(
 def thermal_curve(
     h: HermitianOperator,
     temperatures,
-    e_sep: float | None = None,
     bipartition=None,
 ) -> ThermalCurve:
-    """Sample (T, U, ppt) on the given grid; attach the gap temperature
-    for ``e_sep`` when one exists."""
+    """Sample (T, U, ppt) on the given grid."""
     w = np.linalg.eigvalsh(h.matrix)
     samples = []
     for t in temperatures:
@@ -152,12 +148,7 @@ def thermal_curve(
                 is_gibbs_ppt(h, float(t), bipartition=bipartition),
             )
         )
-    t_gap = t_scaled = None
-    if e_sep is not None:
-        t_gap = entanglement_gap_temperature(w, e_sep)
-        if t_gap is not None:
-            t_scaled = t_gap / float(w.max() - w.min())
-    return ThermalCurve(samples=tuple(samples), t_gap=t_gap, t_gap_scaled=t_scaled)
+    return ThermalCurve(samples=tuple(samples))
 
 
 def bound_entanglement_window(

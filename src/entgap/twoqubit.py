@@ -234,9 +234,6 @@ def _search_chunk(args):
 
 
 def default_workers() -> int:
-    env = os.environ.get("ENTGAP_THREADS")
-    if env:
-        return max(1, int(env))
     return min(2, os.cpu_count() or 1)
 
 

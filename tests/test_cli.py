@@ -43,6 +43,20 @@ def test_gap_on_lattice(capsys):
     assert payload["e_sep_upper"] == pytest.approx(-3.0, abs=1e-8)
 
 
+def test_gap_refuses_a_lattice_above_the_dense_cutoff_before_assembly(monkeypatch, capsys):
+    from entgap import lattices
+
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble was called")
+
+    monkeypatch.setattr(lattices, "assemble", fail)
+    code, out, err = run_cli(
+        capsys, "gap", "--model", "heisenberg", "--lattice", "ring:13", "--json"
+    )
+    assert code == 2 and out == ""
+    assert "8192 exceeds the dense cutoff 4096" in err
+
+
 def test_pretty_numbers_also_in_machine_output(capsys):
     code, out, _ = run_cli(capsys, "gap", "--model", "heisenberg", "--pretty")
     assert code == 0
@@ -155,15 +169,6 @@ def test_run_config_validation():
         RunConfig(restarts=0)
     with pytest.raises(ValueError):
         RunConfig(sdp_tol=-1.0)
-
-
-def test_entgap_threads_env(monkeypatch):
-    from entgap.twoqubit import default_workers
-
-    monkeypatch.setenv("ENTGAP_THREADS", "1")
-    assert default_workers() == 1
-    monkeypatch.setenv("ENTGAP_THREADS", "5")
-    assert default_workers() == 5
 
 
 def test_gap_csv_format(capsys):

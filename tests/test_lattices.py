@@ -12,7 +12,11 @@ from entgap.models import heisenberg_pair, xy_pair
 from entgap.operators import (
     HermitianOperator,
     eig,
+    identity,
+    kron,
     lanczos_ground,
+    permute_subsystems,
+    random_hermitian,
     random_state_vector,
 )
 
@@ -73,7 +77,29 @@ def test_assemble_validation():
     with pytest.raises(ValueError):
         assemble(LatticeSpec.ring(4, local_dim=3), h)
     with pytest.raises(ValueError):
-        assemble(LatticeSpec.ring(30), h, max_side=2 ** 20)
+        assemble(LatticeSpec.ring(30), h)
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.ring(5, local_dim=3),  # holds the wrap-around bond (0, 4)
+    LatticeSpec.star(3, local_dim=3),
+    LatticeSpec.complete(3, local_dim=3),
+])
+def test_assembly_matches_kron_embedding_oracle(spec):
+    rng = np.random.default_rng(3)
+    coupling = HermitianOperator(random_hermitian(9, rng), (3, 3))
+    n = spec.n_sites
+    expected = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for (i, j) in spec.bonds:
+        # coupling on factors 0, 1 of the kron; move them to sites i, j
+        rest = iter(range(2, n))
+        order = [0 if k == i else 1 if k == j else next(rest) for k in range(n)]
+        embedded = kron(coupling, identity((3,) * (n - 2)))
+        expected += permute_subsystems(embedded, order).matrix
+    asm = assemble(spec, coupling)
+    assert np.max(np.abs(asm.dense.matrix - expected)) < 1e-13
+    block = rng.standard_normal((spec.dim, 3)) + 1j * rng.standard_normal((spec.dim, 3))
+    assert np.max(np.abs(asm.matrix_free.apply(block) - expected @ block)) < 1e-12
 
 
 def test_matrix_free_agrees_with_dense():

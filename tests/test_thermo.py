@@ -109,9 +109,7 @@ def test_gap_temperature_no_finite_solution():
 
 def test_thermal_curve_invariants_and_flags():
     h = heisenberg_pair()
-    curve = thermal_curve(h, np.geomspace(0.1, 10, 12), e_sep=-1.0)
-    assert curve.t_gap is not None
-    assert curve.t_gap_scaled == pytest.approx(curve.t_gap / 4.0)
+    curve = thermal_curve(h, np.geomspace(0.1, 10, 12))
     # low-temperature Gibbs state of the AFM is NPT, high-temperature is PPT
     assert curve.samples[0][2] is False
     assert curve.samples[-1][2] is True
