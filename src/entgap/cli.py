@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import lattices, models, separability, tables, thermo, twoqubit, xy
-from .operators import DENSE_CUTOFF, LanczosError
+from . import lattices, models, sdp, separability, tables, thermo, twoqubit, xy
+from .operators import LanczosError
 
 SCHEMA = 1
 
@@ -29,7 +29,6 @@ class RunConfig:
     restarts: int = 64
     sdp_tol: float = 1e-7
     bisect_tol: float = 1e-10
-    dense_cutoff: int = DENSE_CUTOFF
     output: str = "pretty"
 
     def __post_init__(self):
@@ -99,16 +98,11 @@ def cmd_gap(args, cfg: RunConfig) -> int:
         if h.n_subsystems != 2 or h.dims[0] != h.dims[1]:
             raise ValueError("--lattice needs a two-site coupling model")
         spec = lattices.LatticeSpec.from_identifier(args.lattice, local_dim=h.dims[0])
-        if spec.dim > cfg.dense_cutoff:
-            raise ValueError(f"lattice side {spec.dim} exceeds the dense cutoff "
-                             f"{cfg.dense_cutoff}; gap reports need the dense form")
-        h = lattices.assemble(spec, h, dense_cutoff=cfg.dense_cutoff).dense
+        # the PPT solve over the lattice's cuts is what must fit in memory
+        sdp.check_ppt_fits(spec.dim)
+        h = lattices.assemble(spec, h).dense
     report = separability.entanglement_gap(
-        h,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        dense_cutoff=cfg.dense_cutoff,
-        gap_tol=cfg.sdp_tol,
+        h, restarts=cfg.restarts, seed=cfg.seed, gap_tol=cfg.sdp_tol
     )
     payload = report.to_dict()
     payload["model"] = args.model
@@ -135,9 +129,10 @@ def cmd_temp(args, cfg: RunConfig) -> int:
     )
     grid = np.geomspace(args.t_min, args.t_max, args.n_grid)
     curve = thermo.thermal_curve(h, grid)
-    t_gap = thermo.entanglement_gap_temperature(h, bracket.upper, tol=cfg.bisect_tol)
-    t_scaled = thermo.scaled_gap_temperature(h, bracket.upper, tol=cfg.bisect_tol)
-    t_lower = thermo.entanglement_gap_temperature(h, bracket.lower, tol=cfg.bisect_tol)
+    w = np.linalg.eigvalsh(h.matrix)
+    t_gap = thermo.entanglement_gap_temperature(w, bracket.upper, tol=cfg.bisect_tol)
+    t_scaled = None if t_gap is None else t_gap / float(w.max() - w.min())
+    t_lower = thermo.entanglement_gap_temperature(w, bracket.lower, tol=cfg.bisect_tol)
     rows = [{"T": t, "U": u, "ppt": int(p)} for (t, u, p) in curve.samples]
     payload = {
         "model": args.model,
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = ("seed", "restarts")
 
-    p = _add_command(sub, "gap", cmd_gap, (*seeded, "sdp_tol", "dense_cutoff"),
+    p = _add_command(sub, "gap", cmd_gap, (*seeded, "sdp_tol"),
                      "entanglement-gap report for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--lattice")

@@ -159,12 +159,11 @@ class LatticeSpec:
 class AssembledLattice:
     """Sum of the coupling over all bonds as one sparse matrix; the
     matrix-free apply and the dense form (when the side is at most
-    ``dense_cutoff``) both read it."""
+    ``DENSE_CUTOFF``) both read it."""
 
     spec: LatticeSpec
     coupling: HermitianOperator
     matrix: sparse.csr_array
-    dense_cutoff: int = DENSE_CUTOFF
 
     @cached_property
     def matrix_free(self) -> MatrixFreeOperator:
@@ -175,7 +174,7 @@ class AssembledLattice:
     @cached_property
     def dense(self) -> HermitianOperator | None:
         """Dense copy of ``matrix`` on first read; None above the cutoff."""
-        if self.spec.dim > self.dense_cutoff:
+        if self.spec.dim > DENSE_CUTOFF:
             return None
         return HermitianOperator(self.matrix.toarray(), self.matrix_free.dims)
 
@@ -202,11 +201,7 @@ def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.cs
     return sparse.csr_array((data, (rows, cols)), shape=(spec.dim, spec.dim))
 
 
-def assemble(
-    spec: LatticeSpec,
-    coupling: HermitianOperator,
-    dense_cutoff: int = DENSE_CUTOFF,
-) -> AssembledLattice:
+def assemble(spec: LatticeSpec, coupling: HermitianOperator) -> AssembledLattice:
     """Embed the two-site coupling on every bond of the lattice and sum
     the bond matrices in bond order."""
     if coupling.n_subsystems != 2 or coupling.dims[0] != coupling.dims[1]:
@@ -222,9 +217,7 @@ def assemble(
     matrix = sparse.csr_array((side, side), dtype=complex)
     for (i, j) in spec.bonds:
         matrix = matrix + _bond_matrix(coupling.matrix, i, j, spec)
-    return AssembledLattice(
-        spec=spec, coupling=coupling, matrix=matrix, dense_cutoff=dense_cutoff
-    )
+    return AssembledLattice(spec=spec, coupling=coupling, matrix=matrix)
 
 
 def star_ground_energy_heisenberg(k: int) -> float:

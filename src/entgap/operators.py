@@ -237,11 +237,11 @@ def regroup(m: HermitianOperator, block: Sequence[int]) -> HermitianOperator:
     return HermitianOperator(p.matrix, (da, m.dim // da))
 
 
-def eig(m: HermitianOperator, dense_cutoff: int = DENSE_CUTOFF) -> Spectrum:
-    """Full eigendecomposition (ascending); refuses sides above the cutoff."""
-    if m.dim > dense_cutoff:
+def eig(m: HermitianOperator) -> Spectrum:
+    """Full eigendecomposition (ascending); refuses sides above ``DENSE_CUTOFF``."""
+    if m.dim > DENSE_CUTOFF:
         raise ValueError(
-            f"side {m.dim} exceeds dense cutoff {dense_cutoff}; use lanczos_ground"
+            f"side {m.dim} exceeds dense cutoff {DENSE_CUTOFF}; use lanczos_ground"
         )
     w, v = np.linalg.eigh(m.matrix)
     g = int(np.count_nonzero(w <= w[0] + DEGENERACY_TOL))
@@ -325,10 +325,10 @@ def lanczos_ground(
     )
 
 
-def ground_energy(m: HermitianOperator, dense_cutoff: int = DENSE_CUTOFF, **kw) -> float:
-    """Minimum eigenvalue via dense eig below the cutoff, Lanczos above."""
-    if m.dim <= dense_cutoff:
-        return eig(m, dense_cutoff).e0
+def ground_energy(m: HermitianOperator, **kw) -> float:
+    """Minimum eigenvalue via dense eig up to ``DENSE_CUTOFF``, Lanczos above."""
+    if m.dim <= DENSE_CUTOFF:
+        return eig(m).e0
     e, _ = lanczos_ground(as_matrix_free(m), **kw)
     return e
 

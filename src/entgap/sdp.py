@@ -23,6 +23,7 @@ of one.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,28 @@ class PPTResult:
 # allocator recycles them step after step instead of returning them to
 # the system and faulting them in again (about 20% of an n = 32 step)
 _IMAGE_CHUNK = 2**13
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_ppt_fits(n: int, members: int = 1) -> None:
+    """Refuse a PPT solve of side ``n`` over ``members`` Hamiltonians whose
+    working set exceeds physical memory: the A* images of both cone
+    blocks, 2(n^2+1)n^2 complex entries, plus per member the Schur
+    matrix and its Cholesky factor, 2(n^2+1)^2 reals.  Raises ValueError
+    before anything of that size is allocated."""
+    m = n * n + 1
+    need = 2 * m * n * n * 16 + 2 * members * m * m * 8
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"a PPT solve of side {n} over {members} member(s) needs "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+            f"of physical memory"
+        )
 
 
 class _Basis:
@@ -348,10 +371,12 @@ def solve_ppt_sdp_batch(
     loop aims somewhat past ``gap_tol`` and stops a member early on
     stalls; typical certified gaps land one to two orders below it.  A
     member whose linear algebra breaks down stops and is certified where
-    it stands, without disturbing the others.
+    it stands, without disturbing the others.  Raises ValueError when
+    the solve cannot fit in memory (see :func:`check_ppt_fits`).
     """
     da, db = dims
     n = da * db
+    check_ppt_fits(n, len(hs))
     hs = np.asarray(hs, dtype=complex)
     if hs.ndim != 3 or hs.shape[1:] != (n, n):
         raise ValueError(f"H stack has shape {hs.shape}, expected (b, {n}, {n})")

@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattices import LatticeSpec, assemble
-from .operators import (
-    DENSE_CUTOFF,
-    HermitianOperator,
-    MatrixFreeOperator,
-    as_matrix_free,
-    eig,
-    lanczos_ground,
-    random_state_vector,
-    regroup,
-)
+from .operators import HermitianOperator, eig, random_state_vector, regroup
 from .sdp import PPTResult, solve_ppt_sdp
 
 SEESAW_CONVERGENCE = 1e-12
@@ -221,9 +212,12 @@ def sep_bracket(
     seed: int = 0,
     gap_tol: float = 1e-7,
 ) -> SepBracket:
-    """Bracket [PPT lower, seesaw upper] on the minimum separable energy."""
-    upper, state = seesaw_upper(h, restarts=restarts, seed=seed)
+    """Bracket [PPT lower, seesaw upper] on the minimum separable energy.
+
+    The PPT bound goes first, so an operator whose PPT solve cannot fit
+    in memory is refused before any seesaw runs."""
     lower, res = ppt_lower(h, gap_tol=gap_tol)
+    upper, state = seesaw_upper(h, restarts=restarts, seed=seed)
     # a certified lower bound can only exceed the exact product energy
     # through solver failure; surface that instead of silently clipping
     return SepBracket(
@@ -243,7 +237,6 @@ def entanglement_gap(
     h: HermitianOperator,
     restarts: int = 64,
     seed: int = 0,
-    dense_cutoff: int = DENSE_CUTOFF,
     gap_tol: float = 1e-7,
 ) -> GapReport:
     """Full report: spectrum extremes, separable bracket, gap interval.
@@ -253,14 +246,8 @@ def entanglement_gap(
     actually found; energies below the PPT lower bound certify
     entanglement outright.
     """
-    if h.dim <= dense_cutoff:
-        spec = eig(h, dense_cutoff)
-        e0, e_max = spec.e0, spec.e_max
-    else:
-        mf = as_matrix_free(h)
-        e0, _ = lanczos_ground(mf)
-        neg = MatrixFreeOperator(h.dim, lambda v: -mf.apply(v), h.dims)
-        e_max = -lanczos_ground(neg)[0]
+    spec = eig(h)
+    e0, e_max = spec.e0, spec.e_max
     sep = sep_bracket(h, restarts=restarts, seed=seed, gap_tol=gap_tol)
     e_tot = e_max - e0
     gap_lo = sep.lower - e0

@@ -64,14 +64,17 @@ def _thermal_energy_from_levels(w: np.ndarray, temperature: float) -> float:
 
 def gibbs_state(h: HermitianOperator, temperature: float) -> HermitianOperator:
     """Normalized thermal density matrix at the given temperature."""
+    return _gibbs_from_spectrum(eig(h), h.dims, temperature)
+
+
+def _gibbs_from_spectrum(spec, dims, temperature: float) -> HermitianOperator:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    spec = eig(h)
     w = spec.eigenvalues
     weights = np.exp(-(w - w.min()) / temperature)
     weights /= weights.sum()
     rho = (spec.eigenvectors * weights) @ spec.eigenvectors.conj().T
-    return HermitianOperator(rho, h.dims)
+    return HermitianOperator(rho, dims)
 
 
 def entanglement_gap_temperature(
@@ -124,12 +127,22 @@ def is_gibbs_ppt(
     h: HermitianOperator, temperature: float, bipartition=None
 ) -> bool:
     """Whether the thermal state has a positive partial transpose."""
-    rho = gibbs_state(h, temperature)
-    flat = rho if rho.n_subsystems == 2 and bipartition is None else regroup(
-        rho, list(bipartition if bipartition is not None else [0])
-    )
-    pt = partial_transpose(flat, 0)
-    return float(np.linalg.eigvalsh(pt.matrix)[0]) >= PPT_FLAG_TOL
+    return _gibbs_ppt_test(h, bipartition)(temperature)
+
+
+def _gibbs_ppt_test(h: HermitianOperator, bipartition):
+    """``is_gibbs_ppt`` at any temperature, from one eigendecomposition."""
+    spec = eig(h)
+
+    def is_ppt(temperature: float) -> bool:
+        rho = _gibbs_from_spectrum(spec, h.dims, temperature)
+        flat = rho if rho.n_subsystems == 2 and bipartition is None else regroup(
+            rho, list(bipartition if bipartition is not None else [0])
+        )
+        pt = partial_transpose(flat, 0)
+        return float(np.linalg.eigvalsh(pt.matrix)[0]) >= PPT_FLAG_TOL
+
+    return is_ppt
 
 
 def thermal_curve(
@@ -139,15 +152,11 @@ def thermal_curve(
 ) -> ThermalCurve:
     """Sample (T, U, ppt) on the given grid."""
     w = np.linalg.eigvalsh(h.matrix)
-    samples = []
-    for t in temperatures:
-        samples.append(
-            (
-                float(t),
-                _thermal_energy_from_levels(w, float(t)),
-                is_gibbs_ppt(h, float(t), bipartition=bipartition),
-            )
-        )
+    is_ppt = _gibbs_ppt_test(h, bipartition)
+    samples = [
+        (float(t), _thermal_energy_from_levels(w, float(t)), is_ppt(float(t)))
+        for t in temperatures
+    ]
     return ThermalCurve(samples=tuple(samples))
 
 
@@ -165,15 +174,19 @@ def bound_entanglement_window(
 
     Scans a log grid, takes the widest contiguous run, and refines both
     endpoints by boolean bisection to ``refine_tol``.  Returns
-    (t_low, t_high), or None when the window is empty.
+    (t_low, t_high), or None when the window is empty.  Raises
+    ValueError unless 0 < t_min < t_max and n_grid >= 2.
     """
+    if not (0 < t_min < t_max and n_grid >= 2):
+        raise ValueError(
+            f"window grid needs 0 < t_min < t_max and n_grid >= 2, got "
+            f"t_min={t_min}, t_max={t_max}, n_grid={n_grid}"
+        )
     w = np.linalg.eigvalsh(h.matrix)
+    is_ppt = _gibbs_ppt_test(h, bipartition)
 
     def in_window(t: float) -> bool:
-        return (
-            _thermal_energy_from_levels(w, t) < e_sep
-            and is_gibbs_ppt(h, t, bipartition=bipartition)
-        )
+        return _thermal_energy_from_levels(w, t) < e_sep and is_ppt(t)
 
     grid = np.geomspace(t_min, t_max, n_grid)
     flags = [in_window(float(t)) for t in grid]

@@ -43,18 +43,54 @@ def test_gap_on_lattice(capsys):
     assert payload["e_sep_upper"] == pytest.approx(-3.0, abs=1e-8)
 
 
-def test_gap_refuses_a_lattice_above_the_dense_cutoff_before_assembly(monkeypatch, capsys):
-    from entgap import lattices
+# a PPT solve of side 32 needs 50 MB, one of side 36 needs 81 MB
+SMALL_MEMORY = 64 * 2**20
 
+
+def _fail(name):
     def fail(*args, **kwargs):
-        raise AssertionError("assemble was called")
+        raise AssertionError(f"{name} was called")
+    return fail
 
-    monkeypatch.setattr(lattices, "assemble", fail)
+
+def test_gap_runs_a_lattice_whose_ppt_solve_fits(monkeypatch, capsys):
+    from entgap import sdp
+
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: SMALL_MEMORY)
+    code, out, _ = run_cli(
+        capsys, "gap", "--model", "heisenberg", "--lattice", "star:4",
+        "--restarts", "4", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["e_sep_lower"] == pytest.approx(-4.0, abs=1e-6)
+
+
+def test_gap_refuses_a_lattice_whose_ppt_solve_cannot_fit_before_assembly(
+    monkeypatch, capsys
+):
+    from entgap import lattices, sdp
+
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: SMALL_MEMORY)
+    monkeypatch.setattr(lattices, "assemble", _fail("assemble"))
+    monkeypatch.setattr(sdp, "_Basis", _fail("_Basis"))
     code, out, err = run_cli(
-        capsys, "gap", "--model", "heisenberg", "--lattice", "ring:13", "--json"
+        capsys, "gap", "--model", "heisenberg", "--lattice", "star:5", "--json"
     )
     assert code == 2 and out == ""
-    assert "8192 exceeds the dense cutoff 4096" in err
+    assert "PPT solve of side 64" in err
+
+
+def test_temp_refuses_a_model_whose_ppt_solve_cannot_fit_before_the_seesaw(
+    monkeypatch, capsys
+):
+    from entgap import sdp, separability
+
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: SMALL_MEMORY)
+    monkeypatch.setattr(separability, "seesaw_upper", _fail("seesaw_upper"))
+    monkeypatch.setattr(sdp, "_Basis", _fail("_Basis"))
+    code, out, err = run_cli(capsys, "temp", "--model", "ces:6", "--json")
+    assert code == 2 and out == ""
+    assert "PPT solve of side 36" in err
 
 
 def test_pretty_numbers_also_in_machine_output(capsys):
@@ -195,10 +231,8 @@ def test_config_file_values_take_the_field_types():
     from entgap.cli import RunConfig, _run_config, build_parser
 
     args = build_parser().parse_args(["gap", "--model", "heisenberg", "--seed", "4"])
-    file_cfg = {"seed": "9", "sdp_tol": "1e-6", "dense_cutoff": "8192"}
-    assert _run_config(args, file_cfg) == RunConfig(
-        seed=4, sdp_tol=1e-6, dense_cutoff=8192
-    )
+    file_cfg = {"seed": "9", "sdp_tol": "1e-6", "restarts": "8"}
+    assert _run_config(args, file_cfg) == RunConfig(seed=4, sdp_tol=1e-6, restarts=8)
     assert _run_config(args, {}) == RunConfig(seed=4)
 
 
@@ -208,6 +242,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gap", "--model", "heisenberg", "--config", str(cfg))
     assert code == 2
     assert "restart" in err
+
+
+def test_removed_dense_cutoff_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "entgap.cfg"
+    cfg.write_text("dense_cutoff = 5000\n")
+    code, out, err = run_cli(capsys, "gap", "--model", "heisenberg", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "dense_cutoff" in err
+
+
+@pytest.mark.parametrize("grid", [
+    ["--t-min", "3.0", "--t-max", "0.02"],
+    ["--t-min", "0.5", "--t-max", "0.5"],
+    ["--t-min", "0", "--t-max", "3.0"],
+    ["--n-grid", "0"],
+    ["--n-grid", "1"],
+], ids=["reversed", "empty", "zero", "no-points", "one-point"])
+def test_window_refuses_a_degenerate_grid(grid, capsys):
+    code, out, err = run_cli(
+        capsys, "window", "--model", "choi", "--e-sep", "0.05", *grid, "--json"
+    )
+    assert code == 2 and out == ""
+    assert "t_min < t_max" in err
 
 
 def test_window_csv_row(capsys):
@@ -232,12 +289,14 @@ def test_search_2q_csv_row(capsys):
     assert float(fields["max_t"]) <= float(fields["afm_reference"]) + 1e-6
 
 
+# the RunConfig settings that have flags, and dense_cutoff, a removed setting
+# whose flag no command accepts
 SETTINGS = ("seed", "restarts", "sdp_tol", "bisect_tol", "dense_cutoff")
 SETTING_VALUES = {"seed": "5", "restarts": "5", "sdp_tol": "1e-6", "bisect_tol": "1e-6",
                   "dense_cutoff": "5000"}
 # the RunConfig settings each command reads; the parser accepts exactly these
 READS = {
-    "gap": ("seed", "restarts", "sdp_tol", "dense_cutoff"),
+    "gap": ("seed", "restarts", "sdp_tol"),
     "temp": ("seed", "restarts", "sdp_tol", "bisect_tol"),
     "window": ("seed", "restarts"),
     "table1": ("seed", "restarts"),

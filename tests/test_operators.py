@@ -164,10 +164,13 @@ def test_eig_degeneracy_and_projector_spectra():
     assert s.ground_degeneracy == 1
 
 
-def test_eig_rejects_oversize():
+def test_eig_rejects_oversize(monkeypatch):
+    import entgap.operators as operators
+
+    monkeypatch.setattr(operators, "DENSE_CUTOFF", 4)
     h = HermitianOperator(np.eye(8), (2, 2, 2))
     with pytest.raises(ValueError):
-        eig(h, dense_cutoff=4)
+        eig(h)
 
 
 def test_matrix_free_check_passes_and_detects_violation():
@@ -222,19 +225,17 @@ def test_lanczos_reports_residual_on_iteration_cap():
         lanczos_ground(op, tol=0.0)
 
 
-def test_ground_energy_forwards_dense_cutoff(monkeypatch):
+def test_ground_energy_reads_the_dense_cutoff_at_call_time(monkeypatch):
     import entgap.operators as operators
 
-    seen = []
+    calls = []
     real_eig = operators.eig
-
-    def spy(m, dense_cutoff=operators.DENSE_CUTOFF):
-        seen.append(dense_cutoff)
-        return real_eig(m, dense_cutoff)
-
-    monkeypatch.setattr(operators, "eig", spy)
-    assert operators.ground_energy(heisenberg_pair(), dense_cutoff=5000) == pytest.approx(-3.0)
-    assert seen == [5000]
+    monkeypatch.setattr(operators, "eig", lambda m: calls.append(m) or real_eig(m))
+    assert operators.ground_energy(heisenberg_pair()) == pytest.approx(-3.0)
+    assert len(calls) == 1
+    monkeypatch.setattr(operators, "DENSE_CUTOFF", 3)
+    assert operators.ground_energy(heisenberg_pair()) == pytest.approx(-3.0)
+    assert len(calls) == 1  # side 4 now goes to Lanczos
 
 
 def test_json_round_trip_and_validation():

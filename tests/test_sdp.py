@@ -155,6 +155,27 @@ def test_input_validation():
         solve_ppt_sdp_batch(np.eye(4), (2, 2))
 
 
+def test_solve_is_refused_before_allocation_when_it_cannot_fit(monkeypatch):
+    # side 4: the basis images take 2*17*16*16 B, each member's Schur
+    # matrix and factor 2*17*17*8 B
+    basis, member = 2 * 17 * 16 * 16, 2 * 17 * 17 * 8
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: basis + 2 * member)
+    sdp.check_ppt_fits(4, 2)
+    with pytest.raises(ValueError, match="side 4 over 3 member"):
+        sdp.check_ppt_fits(4, 3)
+
+    def fail(*args):
+        raise AssertionError("_Basis was called")
+
+    monkeypatch.setattr(sdp, "_Basis", fail)
+    with pytest.raises(ValueError, match="PPT solve of side 4"):
+        solve_ppt_sdp_batch(mixed_batch()[:3], (2, 2))
+    # a side-128 solve needs 12.9 GB whatever the batch
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: 12 * 10**9)
+    with pytest.raises(ValueError, match="side 128"):
+        solve_ppt_sdp(np.eye(128), (8, 16))
+
+
 def test_werner_family_boundary():
     """Along the Werner line rho(f) for two qubits the PPT minimum of the
     singlet projector witness equals the known separability boundary."""

@@ -11,7 +11,6 @@ from entgap.models import (
     xy_pair,
 )
 from entgap.operators import (
-    DENSE_CUTOFF,
     HermitianOperator,
     eig,
     kron,
@@ -283,27 +282,3 @@ def test_ppt_lower_multipartite_uses_best_cut():
 def test_product_state_validation():
     with pytest.raises(ValueError):
         ProductState((np.array([1.0, 1.0]),))
-
-
-def test_gap_report_lanczos_branch_matches_dense():
-    asm = assemble(LatticeSpec.ring(4), heisenberg_pair())
-    dense_rep = entanglement_gap(asm.dense, restarts=8, seed=0)
-    lanczos_rep = entanglement_gap(asm.dense, restarts=8, seed=0, dense_cutoff=8)
-    assert lanczos_rep.e0 == pytest.approx(dense_rep.e0, abs=1e-8)
-    assert lanczos_rep.e_max == pytest.approx(dense_rep.e_max, abs=1e-8)
-    assert lanczos_rep.gap_upper == pytest.approx(dense_rep.gap_upper, abs=1e-8)
-
-
-def test_gap_report_forwards_dense_cutoff(monkeypatch):
-    import entgap.separability as separability
-
-    seen = []
-    real_eig = separability.eig
-
-    def spy(m, dense_cutoff=DENSE_CUTOFF):
-        seen.append(dense_cutoff)
-        return real_eig(m, dense_cutoff)
-
-    monkeypatch.setattr(separability, "eig", spy)
-    entanglement_gap(heisenberg_pair(), restarts=2, dense_cutoff=5000)
-    assert seen == [5000]

@@ -119,6 +119,22 @@ def test_thermal_curve_invariants_and_flags():
         ThermalCurve(samples=((1.0, 0.5, True), (2.0, 0.1, True)))
 
 
+def test_curve_and_window_eigendecompose_once(monkeypatch):
+    import entgap.thermo as thermo
+
+    calls = []
+    real_eig = thermo.eig
+    monkeypatch.setattr(thermo, "eig", lambda m: calls.append(m) or real_eig(m))
+    h = choi_hamiltonian()
+    temps = np.geomspace(0.5, 2.0, 9)
+    curve = thermal_curve(h, temps)
+    assert len(calls) == 1
+    assert [s[2] for s in curve.samples] == [is_gibbs_ppt(h, t) for t in temps]
+    calls.clear()
+    assert bound_entanglement_window(h, 0.0, t_min=0.5, t_max=2.0) is not None
+    assert len(calls) == 1
+
+
 def test_afm_gap_temperature_scaled():
     # scaled AFM has spectrum {0,1,1,1} and e_sep 1/2
     h = HermitianOperator((heisenberg_pair().matrix + 3 * np.eye(4)) / 4, (2, 2))
