@@ -11,7 +11,6 @@ from .operators import (
     MatrixFreeOperator,
     Spectrum,
     eig,
-    ground_energy,
     kron,
     lanczos_ground,
     operator_from_json,

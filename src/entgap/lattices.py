@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .models import split_identifier
 from .operators import (
     DENSE_CUTOFF,
     HermitianOperator,
@@ -23,6 +24,8 @@ from .operators import (
 )
 
 MAX_SIDE = 2 ** 20
+LATTICE_FORMS = {"star": "star:k", "ring": "ring:n", "chain": "chain:n",
+                 "complete": "complete:n", "file": "file:<path.json>"}
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class LatticeSpec:
     def from_identifier(cls, text: str, local_dim: int = 2) -> "LatticeSpec":
         """Parse star:5 | ring:8 | chain:6 | triangle | tetrahedron |
         complete:4 | file:<path.json>."""
-        parts = text.split(":")
+        parts = split_identifier(text, LATTICE_FORMS)
         name = parts[0]
         if name == "star":
             return cls.star(int(parts[1]), local_dim)
@@ -120,7 +123,7 @@ class LatticeSpec:
         if name == "complete":
             return cls.complete(int(parts[1]), local_dim)
         if name == "file":
-            with open(text.split(":", 1)[1]) as fh:
+            with open(parts[1]) as fh:
                 data = json.load(fh)
             return cls(
                 n_sites=int(data["n_sites"]),

@@ -194,23 +194,34 @@ def upb_hamiltonian(basis: str = "tiles") -> HermitianOperator:
     return HermitianOperator(m, (d, d))
 
 
+def split_identifier(text: str, forms: dict) -> list[str]:
+    """Split a CLI identifier into its name and parameters (a ``file:``
+    path is one parameter, colons and all).  Raises ValueError when a
+    name in ``forms`` has another parameter count than its form there."""
+    name, colon, rest = text.partition(":")
+    parts = [name, rest] if name == "file" and colon else text.split(":")
+    if name in forms and len(parts) != forms[name].count(":") + 1:
+        raise ValueError(f"identifier {text!r} needs the form {forms[name]}")
+    return parts
+
+
+MODEL_FORMS = {"xy": "xy:g:l", "xxz": "xxz:d", "maxent": "maxent:d",
+               "symproj": "symproj:d", "ces": "ces:d", "file": "file:<path.json>"}
+
+
 def from_identifier(text: str) -> HermitianOperator:
     """Build any named model Hamiltonian from its CLI identifier.
 
     Identifiers: heisenberg | xy:g:l | xxz:d | maxent:d | symproj:d |
     ces:d | choi | upb:tiles | file:<path.json>.
     """
-    parts = text.split(":")
+    parts = split_identifier(text, MODEL_FORMS)
     name = parts[0]
     if name == "heisenberg":
         return heisenberg_pair()
     if name == "xy":
-        if len(parts) != 3:
-            raise ValueError("xy coupling needs two parameters, e.g. xy:0.5:1.0")
         return xy_pair(float(parts[1]), float(parts[2]))
     if name == "xxz":
-        if len(parts) != 2:
-            raise ValueError("xxz coupling needs one parameter, e.g. xxz:0.5")
         return xxz_pair(float(parts[1]))
     if name == "maxent":
         return max_entangled_projector_hamiltonian(int(parts[1]))
@@ -223,6 +234,6 @@ def from_identifier(text: str) -> HermitianOperator:
     if name == "upb":
         return upb_hamiltonian(parts[1] if len(parts) > 1 else "tiles")
     if name == "file":
-        with open(text.split(":", 1)[1]) as fh:
+        with open(parts[1]) as fh:
             return operator_from_json(fh.read())
     raise ValueError(f"unknown model identifier {text!r}")

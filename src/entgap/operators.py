@@ -248,11 +248,6 @@ def eig(m: HermitianOperator) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v, ground_degeneracy=g)
 
 
-def as_matrix_free(m: HermitianOperator) -> MatrixFreeOperator:
-    mat = m.matrix
-    return MatrixFreeOperator(dimension=m.dim, apply=lambda v: mat @ v, dims=m.dims)
-
-
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state: normal components, then normalize."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -323,14 +318,6 @@ def lanczos_ground(
         f"no convergence within {max_iter} applications (residual {res:.3e})",
         residual=res,
     )
-
-
-def ground_energy(m: HermitianOperator, **kw) -> float:
-    """Minimum eigenvalue via dense eig up to ``DENSE_CUTOFF``, Lanczos above."""
-    if m.dim <= DENSE_CUTOFF:
-        return eig(m).e0
-    e, _ = lanczos_ground(as_matrix_free(m), **kw)
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ class PPTResult:
     residuals: dict = field(default_factory=dict)
 
 
+# absolute primal and dual feasibility every converged solve meets, and
+# the iteration cap of a solve
+FEAS_TOL = 1e-8
+MAX_ITER = 100
+
 # matrix entries per Schur-assembly chunk, counted over the whole batch:
 # 128 KiB of complex images per cone block, small enough that the
 # allocator recycles them step after step instead of returning them to
@@ -78,15 +83,10 @@ def check_ppt_fits(n: int, members: int = 1) -> None:
 
 
 class _Basis:
-    """Cached per-shape data: Hermitian basis bookkeeping and A* images."""
+    """Per-shape data of one solve: Hermitian basis bookkeeping and A*
+    images.  Built by each solve and let go when it returns."""
 
-    _cache: dict = {}
-
-    def __new__(cls, da: int, db: int):
-        key = (da, db)
-        if key in cls._cache:
-            return cls._cache[key]
-        self = super().__new__(cls)
+    def __init__(self, da: int, db: int):
         n = da * db
         self.da, self.db, self.n = da, db, n
         self.m = n * n + 1
@@ -94,28 +94,25 @@ class _Basis:
         self.b_vec = np.zeros(self.m)       # primal right-hand side: tr X1 = 1
         self.b_vec[0] = 1.0
         # stacked A*(e_k) images, block 1 and block 2 for every basis element:
-        # e_0 = (eps=1, L=0) -> (I, 0); e_k = (0, E_k) -> (E_k^{T_A}, -E_k)
-        herm = np.zeros((n * n, n, n), dtype=complex)
-        idx = 0
-        for i in range(n):
-            herm[idx, i, i] = 1.0
-            idx += 1
-        r = 1 / np.sqrt(2)
-        for i, j in zip(*self.iu):
-            herm[idx, i, j] = r
-            herm[idx, j, i] = r
-            idx += 1
-        for i, j in zip(*self.iu):
-            herm[idx, i, j] = 1j * r
-            herm[idx, j, i] = -1j * r
-            idx += 1
-        self.u = np.empty((2, self.m, n, n), dtype=complex)
+        # e_0 = (eps=1, L=0) -> (I, 0); e_k = (0, E_k) -> (E_k^{T_A}, -E_k),
+        # with E_k the diagonal units, then the real and the imaginary
+        # off-diagonal pairs in ``iu`` order
+        i, j = self.iu
+        k = len(i)
+        diag, re_off, im_off = np.arange(n), n + np.arange(k), n + k + np.arange(k)
+        self.u = np.zeros((2, self.m, n, n), dtype=complex)
         self.u[0, 0] = np.eye(n)
-        self.u[1, 0] = 0.0
+        # the E_k are built in block 2, transposed into block 1, then
+        # negated in place
+        herm = self.u[1, 1:]
+        herm[diag, diag, diag] = 1.0
+        r = 1 / np.sqrt(2)
+        herm[re_off, i, j] = r
+        herm[re_off, j, i] = r
+        herm[im_off, i, j] = 1j * r
+        herm[im_off, j, i] = -1j * r
         self.u[0, 1:] = self.pt(herm)
-        self.u[1, 1:] = -herm
-        cls._cache[key] = self
-        return self
+        np.negative(herm, out=herm)
 
     def pt(self, z: np.ndarray) -> np.ndarray:
         """Partial transpose on the first factor, batched over leading axes."""
@@ -355,11 +352,7 @@ def _step(B: _Basis, h, x, s, eps, lq, mu, rd, rp_norm):
 
 
 def solve_ppt_sdp_batch(
-    hs: np.ndarray,
-    dims: tuple[int, int],
-    gap_tol: float = 1e-7,
-    feas_tol: float = 1e-8,
-    max_iter: int = 100,
+    hs: np.ndarray, dims: tuple[int, int], gap_tol: float = 1e-7
 ) -> list[PPTResult]:
     """Minimize tr[H rho] over PPT states rho on a da x db system, for
     every H in the stack ``hs`` of shape (b, n, n), n = da*db.
@@ -367,11 +360,12 @@ def solve_ppt_sdp_batch(
     Returns one :class:`PPTResult` per member, equal to what a solve of
     that member alone returns.  Each ``value`` is a certified lower bound;
     ``converged`` records whether the duality-gap and feasibility
-    contracts (relative ``gap_tol``, absolute ``feas_tol``) were met.  The
-    loop aims somewhat past ``gap_tol`` and stops a member early on
-    stalls; typical certified gaps land one to two orders below it.  A
-    member whose linear algebra breaks down stops and is certified where
-    it stands, without disturbing the others.  Raises ValueError when
+    contracts (relative ``gap_tol``, absolute ``FEAS_TOL``) were met
+    within ``MAX_ITER`` iterations.  The loop aims somewhat past
+    ``gap_tol`` and stops a member early on stalls; typical certified
+    gaps land one to two orders below it.  A member whose linear algebra
+    breaks down stops and is certified where it stands, without
+    disturbing the others.  Raises ValueError when
     the solve cannot fit in memory (see :func:`check_ppt_fits`).
     """
     da, db = dims
@@ -423,7 +417,7 @@ def solve_ppt_sdp_batch(
         scale = np.maximum(1.0, np.abs(obj_p))
         gap = obj_p - eps
         feas = np.maximum(rp_norm, np.max(np.abs(rd), axis=(-3, -2, -1)))
-        score = np.maximum(np.abs(gap) / (gap_tol * scale), feas / feas_tol)
+        score = np.maximum(np.abs(gap) / (gap_tol * scale), feas / FEAS_TOL)
         return rd, rp_norm, score, gap, feas, scale
 
     def advance(members, *step_args):
@@ -432,7 +426,7 @@ def solve_ppt_sdp_batch(
             a[members] = v
 
     active = np.arange(b)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         iterations[active] = it
         cur = [a[active] for a in state]
         mu = _re_inner(cur[0], cur[1]).sum(axis=1) / nu
@@ -446,7 +440,7 @@ def solve_ppt_sdp_batch(
         stalls[active] = np.where(mu > 0.9 * mu_prev[active], stalls[active] + 1, 0)
         mu_prev[active] = mu
         stop = (
-            ((gap <= loop_gap_tol * scale) & (feas <= feas_tol))
+            ((gap <= loop_gap_tol * scale) & (feas <= FEAS_TOL))
             | (mu < 1e-12 * scale)
             | ((stalls[active] >= 3) & (mu < 1e-6 * scale))
         )
@@ -496,8 +490,8 @@ def solve_ppt_sdp_batch(
     cert_gap = np.abs(obj_p - cert)
     converged = (
         (cert_gap <= gap_tol * np.maximum(1.0, np.abs(obj_p)))
-        & (rp_norm <= feas_tol)
-        & (dual_res <= feas_tol)
+        & (rp_norm <= FEAS_TOL)
+        & (dual_res <= FEAS_TOL)
     )
     return [
         PPTResult(
@@ -521,21 +515,17 @@ def solve_ppt_sdp_batch(
 
 
 def solve_ppt_sdp(
-    h: np.ndarray,
-    dims: tuple[int, int],
-    gap_tol: float = 1e-7,
-    feas_tol: float = 1e-8,
-    max_iter: int = 100,
+    h: np.ndarray, dims: tuple[int, int], gap_tol: float = 1e-7
 ) -> PPTResult:
     """Minimize tr[H rho] over PPT states rho on a da x db system.
 
     The batch of one of :func:`solve_ppt_sdp_batch`: returns a
     :class:`PPTResult` whose ``value`` is always a certified lower bound;
     ``converged`` records whether the duality-gap and feasibility
-    contracts (relative ``gap_tol``, absolute ``feas_tol``) were met.
+    contracts (relative ``gap_tol``, absolute ``FEAS_TOL``) were met.
     """
     n = dims[0] * dims[1]
     h = np.asarray(h, dtype=complex)
     if h.shape != (n, n):
         raise ValueError(f"H has shape {h.shape}, expected {(n, n)}")
-    return solve_ppt_sdp_batch(h[None], dims, gap_tol, feas_tol, max_iter)[0]
+    return solve_ppt_sdp_batch(h[None], dims, gap_tol)[0]

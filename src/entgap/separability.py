@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattices import LatticeSpec, assemble
-from .operators import HermitianOperator, eig, random_state_vector, regroup
+from .operators import HermitianOperator, eig, random_state_vector
 from .sdp import PPTResult, solve_ppt_sdp
 
 SEESAW_CONVERGENCE = 1e-12
@@ -177,33 +177,22 @@ def seesaw_upper(
     return best_energy, best_state
 
 
-def ppt_lower(
-    h: HermitianOperator,
-    bipartition=None,
-    gap_tol: float = 1e-7,
-    feas_tol: float = 1e-8,
-) -> tuple[float, PPTResult]:
+def ppt_lower(h: HermitianOperator, gap_tol: float = 1e-7) -> tuple[float, PPTResult]:
     """Certified lower bound on the minimum separable energy from the PPT
-    relaxation across the given bipartition (first-block site indices).
-
-    With no bipartition a two-factor operator splits naturally; an
-    operator with more factors is reduced over every contiguous
-    bipartition and the largest (tightest) certified bound is returned.
+    relaxation: the largest (tightest) bound over the contiguous cuts
+    (first c factors | the rest), ties going to the earlier cut.  A
+    two-factor operator has the one cut.  Raises ValueError on an
+    operator with fewer than two factors.
     """
-    if bipartition is None:
-        if h.n_subsystems == 2:
-            bipartition = [0]
-        else:
-            best = None
-            for cut in range(1, h.n_subsystems):
-                val, res = ppt_lower(h, bipartition=range(cut),
-                                     gap_tol=gap_tol, feas_tol=feas_tol)
-                if best is None or val > best[0]:
-                    best = (val, res)
-            return best
-    flat = regroup(h, list(bipartition)) if h.n_subsystems != 2 else h
-    result = solve_ppt_sdp(flat.matrix, flat.dims, gap_tol=gap_tol, feas_tol=feas_tol)
-    return result.value, result
+    if h.n_subsystems < 2:
+        raise ValueError(f"a PPT bound needs two or more factors, got dims {list(h.dims)}")
+    best = None
+    for cut in range(1, h.n_subsystems):
+        da = int(np.prod(h.dims[:cut]))
+        result = solve_ppt_sdp(h.matrix, (da, h.dim // da), gap_tol=gap_tol)
+        if best is None or result.value > best.value:
+            best = result
+    return best.value, best
 
 
 def sep_bracket(

@@ -17,7 +17,7 @@ from .models import (
     max_entangled_projector_hamiltonian,
     symmetric_projector_hamiltonian,
 )
-from .operators import HermitianOperator, eig, partial_transpose, regroup
+from .operators import HermitianOperator, eig, partial_transpose_matrix
 from .separability import ppt_lower
 
 PPT_FLAG_TOL = -1e-10
@@ -123,36 +123,29 @@ def scaled_gap_temperature(h, e_sep: float, tol: float = 1e-10) -> float | None:
     return t / e_tot
 
 
-def is_gibbs_ppt(
-    h: HermitianOperator, temperature: float, bipartition=None
-) -> bool:
-    """Whether the thermal state has a positive partial transpose."""
-    return _gibbs_ppt_test(h, bipartition)(temperature)
+def is_gibbs_ppt(h: HermitianOperator, temperature: float) -> bool:
+    """Whether the thermal state has a positive partial transpose across
+    the cut between the first factor and the rest."""
+    return _gibbs_ppt_test(h)(temperature)
 
 
-def _gibbs_ppt_test(h: HermitianOperator, bipartition):
+def _gibbs_ppt_test(h: HermitianOperator):
     """``is_gibbs_ppt`` at any temperature, from one eigendecomposition."""
     spec = eig(h)
+    da = h.dims[0]
 
     def is_ppt(temperature: float) -> bool:
         rho = _gibbs_from_spectrum(spec, h.dims, temperature)
-        flat = rho if rho.n_subsystems == 2 and bipartition is None else regroup(
-            rho, list(bipartition if bipartition is not None else [0])
-        )
-        pt = partial_transpose(flat, 0)
-        return float(np.linalg.eigvalsh(pt.matrix)[0]) >= PPT_FLAG_TOL
+        pt = partial_transpose_matrix(rho.matrix, da, h.dim // da)
+        return float(np.linalg.eigvalsh(pt)[0]) >= PPT_FLAG_TOL
 
     return is_ppt
 
 
-def thermal_curve(
-    h: HermitianOperator,
-    temperatures,
-    bipartition=None,
-) -> ThermalCurve:
+def thermal_curve(h: HermitianOperator, temperatures) -> ThermalCurve:
     """Sample (T, U, ppt) on the given grid."""
     w = np.linalg.eigvalsh(h.matrix)
-    is_ppt = _gibbs_ppt_test(h, bipartition)
+    is_ppt = _gibbs_ppt_test(h)
     samples = [
         (float(t), _thermal_energy_from_levels(w, float(t)), is_ppt(float(t)))
         for t in temperatures
@@ -166,7 +159,6 @@ def bound_entanglement_window(
     t_min: float = 0.02,
     t_max: float = 3.0,
     n_grid: int = 80,
-    bipartition=None,
     refine_tol: float = 1e-4,
 ):
     """Temperature window where the Gibbs state is PPT yet has energy
@@ -183,7 +175,7 @@ def bound_entanglement_window(
             f"t_min={t_min}, t_max={t_max}, n_grid={n_grid}"
         )
     w = np.linalg.eigvalsh(h.matrix)
-    is_ppt = _gibbs_ppt_test(h, bipartition)
+    is_ppt = _gibbs_ppt_test(h)
 
     def in_window(t: float) -> bool:
         return _thermal_energy_from_levels(w, t) < e_sep and is_ppt(t)

@@ -107,6 +107,28 @@ def test_unknown_model_exits_2(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "maxent"], ["--model", "ces"], ["--model", "symproj"], ["--model", "file"],
+    *(["--model", "heisenberg", "--lattice", name]
+      for name in ("star", "ring", "chain", "complete", "file")),
+])
+def test_identifier_missing_its_parameter_exits_2(argv, capsys):
+    code, out, err = run_cli(capsys, "gap", *argv, "--json")
+    assert code == 2 and out == ""
+    assert "needs the form" in err
+
+
+@pytest.mark.parametrize("command", ["gap", "temp"])
+def test_one_factor_operator_exits_2(command, tmp_path, capsys):
+    from entgap.operators import HermitianOperator, operator_to_json
+
+    path = tmp_path / "one_factor.json"
+    path.write_text(operator_to_json(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]), (4,))))
+    code, out, err = run_cli(capsys, command, "--model", f"file:{path}", "--json")
+    assert code == 2 and out == ""
+    assert "two or more factors" in err
+
+
 def test_malformed_grid_exits_2(capsys):
     code, _, err = run_cli(capsys, "xy-scan", "--gamma", "0:1", "--json")
     assert code == 2

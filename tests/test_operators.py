@@ -7,7 +7,6 @@ from entgap.operators import (
     HermitianOperator,
     LanczosError,
     MatrixFreeOperator,
-    as_matrix_free,
     eig,
     identity,
     kron,
@@ -174,8 +173,8 @@ def test_eig_rejects_oversize(monkeypatch):
 
 
 def test_matrix_free_check_passes_and_detects_violation():
-    h = heisenberg_pair()
-    as_matrix_free(h).check(np.random.default_rng(0))
+    m = heisenberg_pair().matrix
+    MatrixFreeOperator(dimension=4, apply=lambda v: m @ v).check(np.random.default_rng(0))
     bad = MatrixFreeOperator(dimension=4, apply=lambda v: v * np.arange(4) + 1.0)
     with pytest.raises(ValueError):
         bad.check(np.random.default_rng(0))
@@ -223,19 +222,6 @@ def test_lanczos_reports_residual_on_iteration_cap():
     assert err.value.residual < np.inf
     with pytest.raises(ValueError):
         lanczos_ground(op, tol=0.0)
-
-
-def test_ground_energy_reads_the_dense_cutoff_at_call_time(monkeypatch):
-    import entgap.operators as operators
-
-    calls = []
-    real_eig = operators.eig
-    monkeypatch.setattr(operators, "eig", lambda m: calls.append(m) or real_eig(m))
-    assert operators.ground_energy(heisenberg_pair()) == pytest.approx(-3.0)
-    assert len(calls) == 1
-    monkeypatch.setattr(operators, "DENSE_CUTOFF", 3)
-    assert operators.ground_energy(heisenberg_pair()) == pytest.approx(-3.0)
-    assert len(calls) == 1  # side 4 now goes to Lanczos
 
 
 def test_json_round_trip_and_validation():

@@ -8,7 +8,7 @@ from entgap.models import (
     symmetric_projector_hamiltonian,
     upb_hamiltonian,
 )
-from entgap.operators import random_hermitian
+from entgap.operators import partial_transpose_matrix, random_hermitian
 from entgap import sdp
 from entgap.sdp import solve_ppt_sdp, solve_ppt_sdp_batch
 
@@ -181,3 +181,39 @@ def test_werner_family_boundary():
     singlet projector witness equals the known separability boundary."""
     res = solve_ppt_sdp(werner_witness(), (2, 2))
     assert res.value == pytest.approx(0.5, abs=1e-8)
+
+
+def loop_built_images(da, db):
+    """The A* images of the PPT basis, built one basis element at a time:
+    the diagonal units, then the real and the imaginary off-diagonal
+    pairs in ``triu_indices`` order."""
+    n = da * db
+    herm = np.zeros((n * n, n, n), dtype=complex)
+    idx = 0
+    for i in range(n):
+        herm[idx, i, i] = 1.0
+        idx += 1
+    r = 1 / np.sqrt(2)
+    iu = np.triu_indices(n, 1)
+    for i, j in zip(*iu):
+        herm[idx, i, j] = r
+        herm[idx, j, i] = r
+        idx += 1
+    for i, j in zip(*iu):
+        herm[idx, i, j] = 1j * r
+        herm[idx, j, i] = -1j * r
+        idx += 1
+    u = np.empty((2, n * n + 1, n, n), dtype=complex)
+    u[0, 0] = np.eye(n)
+    u[1, 0] = 0.0
+    u[0, 1:] = partial_transpose_matrix(herm, da, db)
+    u[1, 1:] = -herm
+    return u
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4), (2, 16)])
+def test_basis_images_are_bitwise_the_loop_build(dims):
+    u = sdp._Basis(*dims).u
+    reference = loop_built_images(*dims)
+    assert u.shape == reference.shape
+    assert u.tobytes() == reference.tobytes()

@@ -31,6 +31,7 @@ from entgap.separability import (
     seesaw_upper,
     sep_bracket,
 )
+from entgap.sdp import solve_ppt_sdp
 
 
 def random_two_qubit(seed, scale=1.0):
@@ -269,6 +270,46 @@ def test_lattice_witness_decomposes_over_bonds():
     direct = float(np.real(np.vdot(witness_global.conj().T, rho_m)))
     via_bonds = sum(bond_energy_decomposition(asm, rho)) - len(spec.bonds) * e_sep
     assert abs(direct - via_bonds) < 1e-10
+
+
+def test_ppt_lower_keeps_no_basis_alive(monkeypatch):
+    """Each cut's solve builds its own basis and lets it go on return."""
+    import weakref
+
+    from entgap import sdp
+
+    made = []
+    real = sdp._Basis
+
+    def tracked(da, db):
+        basis = real(da, db)
+        made.append(weakref.ref(basis))
+        return basis
+
+    monkeypatch.setattr(sdp, "_Basis", tracked)
+    ppt_lower(assemble(LatticeSpec.chain(4), heisenberg_pair()).dense)
+    assert len(made) == 3
+    assert all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
+def test_ppt_lower_is_the_best_contiguous_cut(dims):
+    rng = np.random.default_rng(len(dims))
+    n = int(np.prod(dims))
+    h = HermitianOperator(random_hermitian(n, rng), dims)
+    cuts = []
+    for c in range(1, len(dims)):
+        da = int(np.prod(dims[:c]))
+        cuts.append(solve_ppt_sdp(h.matrix, (da, n // da)))
+    best = cuts[int(np.argmax([r.value for r in cuts]))]  # first of any tie
+    val, res = ppt_lower(h)
+    assert val == res.value == best.value
+    assert (res.iterations, res.converged) == (best.iterations, best.converged)
+
+
+def test_ppt_lower_needs_two_factors():
+    with pytest.raises(ValueError, match="two or more factors"):
+        ppt_lower(HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]), (4,)))
 
 
 def test_ppt_lower_multipartite_uses_best_cut():

@@ -174,7 +174,6 @@ def test_gibbs_ppt_flag_on_multipartite_state():
     # default cut {0}|{1,2}: entangled at low T, PPT at high T
     assert not is_gibbs_ppt(asm.dense, 0.2)
     assert is_gibbs_ppt(asm.dense, 50.0)
-    assert is_gibbs_ppt(asm.dense, 50.0, bipartition=[0, 1])
 
 
 def test_product_sampling_upper_bounds_seesaw():
