@@ -98,8 +98,9 @@ def cmd_gap(args, cfg: RunConfig) -> int:
         if h.n_subsystems != 2 or h.dims[0] != h.dims[1]:
             raise ValueError("--lattice needs a two-site coupling model")
         spec = lattices.LatticeSpec.from_identifier(args.lattice, local_dim=h.dims[0])
-        # the PPT solve over the lattice's cuts is what must fit in memory
-        sdp.check_ppt_fits(spec.dim)
+        # the PPT solve over the lattice's cuts is what must fit in memory;
+        # a real coupling assembles into a real lattice
+        sdp.check_ppt_fits(spec.dim, real=not h.matrix.imag.any())
         h = lattices.assemble(spec, h).dense
     report = separability.entanglement_gap(
         h, restarts=cfg.restarts, seed=cfg.seed, gap_tol=cfg.sdp_tol

@@ -18,7 +18,10 @@ the two cone blocks X1, X2 (and S1, S2) stacked on the next axis; every
 linear-algebra call takes the whole stack, while stopping, breakdown
 handling and certification stay per member.  Each member sees exactly
 the arithmetic of a solve on its own, and a single solve is the batch
-of one.
+of one.  A stack with no nonzero imaginary entry is solved over real
+symmetric matrices, n(n+1)/2 unknowns instead of n^2, and gets real
+arrays back: the conjugate of a PPT optimum of a real H is one too, so
+their mean is a real optimum.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class PPTResult:
     gap: float                         # |objective - epsilon|
     converged: bool
     iterations: int
+    # state and certificate H - value*I = P + Q^{T_A}; float64 for a real H
     rho: np.ndarray = field(repr=False, default=None)
     witness_q: np.ndarray = field(repr=False, default=None)
     witness_p: np.ndarray = field(repr=False, default=None)
@@ -65,14 +69,15 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_ppt_fits(n: int, members: int = 1) -> None:
+def check_ppt_fits(n: int, members: int = 1, real: bool = False) -> None:
     """Refuse a PPT solve of side ``n`` over ``members`` Hamiltonians whose
     working set exceeds physical memory: the A* images of both cone
-    blocks, 2(n^2+1)n^2 complex entries, plus per member the Schur
-    matrix and its Cholesky factor, 2(n^2+1)^2 reals.  Raises ValueError
-    before anything of that size is allocated."""
-    m = n * n + 1
-    need = 2 * m * n * n * 16 + 2 * members * m * m * 8
+    blocks, 2m n^2 entries, plus per member the Schur matrix and its
+    Cholesky factor, 2m^2 reals, with m = n(n+1)/2 + 1 and real images
+    for ``real`` Hamiltonians, m = n^2 + 1 and complex ones otherwise.
+    Raises ValueError before anything of that size is allocated."""
+    m = (n * (n + 1) // 2 if real else n * n) + 1
+    need = 2 * m * n * n * (8 if real else 16) + 2 * members * m * m * 8
     have = _physical_memory()
     if need > have:
         raise ValueError(
@@ -83,24 +88,26 @@ def check_ppt_fits(n: int, members: int = 1) -> None:
 
 
 class _Basis:
-    """Per-shape data of one solve: Hermitian basis bookkeeping and A*
-    images.  Built by each solve and let go when it returns."""
+    """Per-shape data of one solve: Hermitian (or, when ``real``, real
+    symmetric) basis bookkeeping and A* images.  Built by each solve and
+    let go when it returns."""
 
-    def __init__(self, da: int, db: int):
+    def __init__(self, da: int, db: int, real: bool = False):
         n = da * db
-        self.da, self.db, self.n = da, db, n
-        self.m = n * n + 1
+        self.da, self.db, self.n, self.real = da, db, n, real
+        self.dtype = float if real else complex
         self.iu = np.triu_indices(n, 1)
+        i, j = self.iu
+        k = len(i)
+        self.m = n + k * (1 if real else 2) + 1
         self.b_vec = np.zeros(self.m)       # primal right-hand side: tr X1 = 1
         self.b_vec[0] = 1.0
         # stacked A*(e_k) images, block 1 and block 2 for every basis element:
         # e_0 = (eps=1, L=0) -> (I, 0); e_k = (0, E_k) -> (E_k^{T_A}, -E_k),
-        # with E_k the diagonal units, then the real and the imaginary
-        # off-diagonal pairs in ``iu`` order
-        i, j = self.iu
-        k = len(i)
+        # with E_k the diagonal units, then the real and (unless ``real``)
+        # the imaginary off-diagonal pairs in ``iu`` order
         diag, re_off, im_off = np.arange(n), n + np.arange(k), n + k + np.arange(k)
-        self.u = np.zeros((2, self.m, n, n), dtype=complex)
+        self.u = np.zeros((2, self.m, n, n), dtype=self.dtype)
         self.u[0, 0] = np.eye(n)
         # the E_k are built in block 2, transposed into block 1, then
         # negated in place
@@ -109,8 +116,9 @@ class _Basis:
         r = 1 / np.sqrt(2)
         herm[re_off, i, j] = r
         herm[re_off, j, i] = r
-        herm[im_off, i, j] = 1j * r
-        herm[im_off, j, i] = -1j * r
+        if not real:
+            herm[im_off, i, j] = 1j * r
+            herm[im_off, j, i] = -1j * r
         self.u[0, 1:] = self.pt(herm)
         np.negative(herm, out=herm)
 
@@ -119,19 +127,22 @@ class _Basis:
         return partial_transpose_matrix(z, self.da, self.db)
 
     def herm_to_vec(self, z: np.ndarray) -> np.ndarray:
-        """Isometry Herm(n) -> R^(n^2), batched over leading axes."""
+        """Isometry Herm(n) -> R^(m-1) (real symmetric matrices when
+        ``real``), batched over leading axes."""
         diag = np.real(z[..., np.arange(self.n), np.arange(self.n)])
         off = z[..., self.iu[0], self.iu[1]]
         s2 = np.sqrt(2.0)
-        return np.concatenate([diag, s2 * off.real, s2 * off.imag], axis=-1)
+        parts = [diag, s2 * off.real] + ([] if self.real else [s2 * off.imag])
+        return np.concatenate(parts, axis=-1)
 
     def vec_to_herm(self, v: np.ndarray) -> np.ndarray:
         """Inverse of ``herm_to_vec``, batched over leading axes."""
         n = self.n
-        z = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+        z = np.zeros(v.shape[:-1] + (n, n), dtype=self.dtype)
         z[..., np.arange(n), np.arange(n)] = v[..., :n]
         k = len(self.iu[0])
-        off = (v[..., n : n + k] + 1j * v[..., n + k :]) / np.sqrt(2.0)
+        off = v[..., n : n + k] if self.real else v[..., n : n + k] + 1j * v[..., n + k :]
+        off = off / np.sqrt(2.0)
         z[..., self.iu[0], self.iu[1]] = off
         z[..., self.iu[1], self.iu[0]] = off.conj()
         return z
@@ -215,26 +226,33 @@ def _certify(h: np.ndarray, q: np.ndarray, basis: _Basis):
 class _Schur:
     """Cholesky factors of a stack of Schur complements M = A W~ A*.
 
-    Each member is factorized on its own (LAPACK ``potrf`` through SciPy)
-    and, if it is not numerically positive definite, retried with a
-    growing ridge; if four ridges fail, LinAlgError is raised."""
+    Each member is symmetrized in place, (M + M^T)/2, and factorized on
+    its own (LAPACK ``potrf`` through SciPy); if it is not numerically
+    positive definite, it is retried with a growing ridge on its
+    diagonal; if four ridges fail, LinAlgError is raised.  Beyond the
+    factors, a member-sized copy of M^T is the only temporary."""
 
     def __init__(self, m_mat: np.ndarray):
         self.m_mat = m_mat
         self.ridge = np.zeros(len(m_mat))
         self.factors = []
         for k, mk in enumerate(m_mat):
+            np.add(mk, mk.T, out=mk)        # numpy copies the overlapping M^T
+            mk /= 2
+            diag = mk.diagonal().copy()
             ridge = 0.0
             for _ in range(4):
-                a = mk + ridge * np.eye(len(mk)) if ridge else mk
                 # M is symmetric, so its transpose is the same matrix in the
                 # Fortran order LAPACK wants, handed over without a copy
-                c, info = dpotrf(a.T, lower=1, clean=0)
+                c, info = dpotrf(mk.T, lower=1, clean=0)
                 if info == 0:
                     break
-                ridge = max(ridge * 100, 1e-12 * np.trace(mk) / len(mk))
+                c = None                    # freed before the next attempt
+                ridge = max(ridge * 100, 1e-12 * diag.sum() / len(mk))
+                np.fill_diagonal(mk, diag + ridge)
             else:
                 raise np.linalg.LinAlgError("Schur complement is not positive definite")
+            np.fill_diagonal(mk, diag)
             self.factors.append(c)
             self.ridge[k] = ridge
 
@@ -274,7 +292,6 @@ def _step(B: _Basis, h, x, s, eps, lq, mu, rd, rp_norm):
     for j in range(0, B.m, chunk):
         v = w[:, :, None] @ B.u[:, j : j + chunk] @ w[:, :, None]
         m_mat[:, :, j : j + chunk] = B.a_map(v.swapaxes(1, 2)).swapaxes(-1, -2)
-    m_mat = (m_mat + m_mat.swapaxes(-1, -2)) / 2
     schur = _Schur(m_mat)
 
     ls_inv = l_inv[:, :, 1]
@@ -370,10 +387,11 @@ def solve_ppt_sdp_batch(
     """
     da, db = dims
     n = da * db
-    check_ppt_fits(n, len(hs))
     hs = np.asarray(hs, dtype=complex)
     if hs.ndim != 3 or hs.shape[1:] != (n, n):
         raise ValueError(f"H stack has shape {hs.shape}, expected (b, {n}, {n})")
+    real = not hs.imag.any()
+    check_ppt_fits(n, len(hs), real)
     asym = np.max(np.abs(hs - _h(hs)), axis=(-2, -1), initial=0.0)
     bad = np.flatnonzero(~(asym <= HERMITICITY_TOL))
     if bad.size:
@@ -381,15 +399,15 @@ def solve_ppt_sdp_batch(
     b = len(hs)
     if b == 0:
         return []
-    h = _herm(hs)
-    B = _Basis(da, db)
+    h = _herm(hs.real if real else hs)
+    B = _Basis(da, db, real)
     eye = np.eye(n)
 
     # strictly feasible start on both sides: X1 = X2 = I/n, Q = I and
     # S1 = H - eps I - Q^{T_A} = H - (lam_min - 1) I >= I
-    x = np.tile(eye / n, (b, 2, 1, 1)).astype(complex)
+    x = np.tile(eye / n, (b, 2, 1, 1)).astype(B.dtype)
     eps = np.linalg.eigvalsh(h)[:, 0] - 2.0
-    lq = np.tile(eye, (b, 1, 1)).astype(complex)
+    lq = np.tile(eye, (b, 1, 1)).astype(B.dtype)
     s = np.stack([h - _col(eps) * eye - B.pt(lq), lq], axis=1)
     state = [x, s, eps, lq]
 

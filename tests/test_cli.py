@@ -43,8 +43,9 @@ def test_gap_on_lattice(capsys):
     assert payload["e_sep_upper"] == pytest.approx(-3.0, abs=1e-8)
 
 
-# a PPT solve of side 32 needs 50 MB, one of side 36 needs 81 MB
-SMALL_MEMORY = 64 * 2**20
+# for a real H, a PPT solve of side 32 needs 13 MB, one of side 36 needs
+# 21 MB and one of side 64 needs 206 MB
+SMALL_MEMORY = 16 * 2**20
 
 
 def _fail(name):

@@ -3,13 +3,16 @@ import pytest
 
 from entgap.models import (
     choi_hamiltonian,
+    from_identifier,
     heisenberg_pair,
     max_entangled_projector_hamiltonian,
     symmetric_projector_hamiltonian,
     upb_hamiltonian,
 )
-from entgap.operators import partial_transpose_matrix, random_hermitian
+from entgap.lattices import LatticeSpec, assemble
+from entgap.operators import HermitianOperator, partial_transpose_matrix, random_hermitian
 from entgap import sdp
+from entgap.separability import ppt_lower
 from entgap.sdp import solve_ppt_sdp, solve_ppt_sdp_batch
 
 
@@ -170,8 +173,35 @@ def test_solve_is_refused_before_allocation_when_it_cannot_fit(monkeypatch):
     monkeypatch.setattr(sdp, "_Basis", fail)
     with pytest.raises(ValueError, match="PPT solve of side 4"):
         solve_ppt_sdp_batch(mixed_batch()[:3], (2, 2))
-    # a side-128 solve needs 12.9 GB whatever the batch
+    # a complex side-128 solve needs 12.9 GB whatever the batch
+    complex_h = np.eye(128, dtype=complex)
+    complex_h[0, 1], complex_h[1, 0] = 0.5j, -0.5j
     monkeypatch.setattr(sdp, "_physical_memory", lambda: 12 * 10**9)
+    with pytest.raises(ValueError, match="side 128"):
+        solve_ppt_sdp(complex_h, (8, 16))
+
+
+def test_real_solve_is_refused_on_the_real_figures(monkeypatch):
+    # side 4, real H: m = 4*5/2 + 1 = 11 unknowns, the basis images take
+    # 2*11*16*8 B, each member's Schur matrix and factor 2*11*11*8 B
+    basis, member = 2 * 11 * 16 * 8, 2 * 11 * 11 * 8
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: basis + 2 * member)
+    sdp.check_ppt_fits(4, 2, real=True)
+    with pytest.raises(ValueError, match="side 4 over 3 member"):
+        sdp.check_ppt_fits(4, 3, real=True)
+    with pytest.raises(ValueError, match="side 4 over 2 member"):
+        sdp.check_ppt_fits(4, 2)
+
+    def fail(*args):
+        raise AssertionError("_Basis was called")
+
+    monkeypatch.setattr(sdp, "_Basis", fail)
+    with pytest.raises(ValueError, match="side 4 over 3 member"):
+        solve_ppt_sdp_batch(np.array([heisenberg_pair().matrix] * 3), (2, 2))
+    # a real side-128 solve needs 3.3 GB: it fits in 3.5 GB, not in 3 GB
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: 35 * 10**8)
+    sdp.check_ppt_fits(128, real=True)
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: 3 * 10**9)
     with pytest.raises(ValueError, match="side 128"):
         solve_ppt_sdp(np.eye(128), (8, 16))
 
@@ -183,12 +213,13 @@ def test_werner_family_boundary():
     assert res.value == pytest.approx(0.5, abs=1e-8)
 
 
-def loop_built_images(da, db):
+def loop_built_images(da, db, real):
     """The A* images of the PPT basis, built one basis element at a time:
-    the diagonal units, then the real and the imaginary off-diagonal
-    pairs in ``triu_indices`` order."""
+    the diagonal units, then the real and (unless ``real``) the imaginary
+    off-diagonal pairs in ``triu_indices`` order."""
     n = da * db
-    herm = np.zeros((n * n, n, n), dtype=complex)
+    m = n * (n + 1) // 2 if real else n * n
+    herm = np.zeros((m, n, n), dtype=float if real else complex)
     idx = 0
     for i in range(n):
         herm[idx, i, i] = 1.0
@@ -199,11 +230,12 @@ def loop_built_images(da, db):
         herm[idx, i, j] = r
         herm[idx, j, i] = r
         idx += 1
-    for i, j in zip(*iu):
-        herm[idx, i, j] = 1j * r
-        herm[idx, j, i] = -1j * r
-        idx += 1
-    u = np.empty((2, n * n + 1, n, n), dtype=complex)
+    if not real:
+        for i, j in zip(*iu):
+            herm[idx, i, j] = 1j * r
+            herm[idx, j, i] = -1j * r
+            idx += 1
+    u = np.empty((2, m + 1, n, n), dtype=herm.dtype)
     u[0, 0] = np.eye(n)
     u[1, 0] = 0.0
     u[0, 1:] = partial_transpose_matrix(herm, da, db)
@@ -213,7 +245,51 @@ def loop_built_images(da, db):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4), (2, 16)])
 def test_basis_images_are_bitwise_the_loop_build(dims):
-    u = sdp._Basis(*dims).u
-    reference = loop_built_images(*dims)
-    assert u.shape == reference.shape
-    assert u.tobytes() == reference.tobytes()
+    for real in (False, True):
+        u = sdp._Basis(*dims, real).u
+        reference = loop_built_images(*dims, real)
+        assert u.shape == reference.shape and u.dtype == reference.dtype
+        assert u.tobytes() == reference.tobytes()
+
+
+# named models and Heisenberg lattices, all with real matrices
+REAL_MODELS = [
+    "heisenberg", "choi", "ces:3", "ces:4", "upb:tiles", "maxent:3", "symproj:3",
+    "xy:0.3:0.7", "xxz:1.3",
+]
+REAL_LATTICES = ["star:4", "chain:5"]
+
+
+def real_model(name):
+    if name in REAL_LATTICES:
+        return assemble(LatticeSpec.from_identifier(name), heisenberg_pair()).dense
+    return from_identifier(name)
+
+
+def phased(h):
+    """H conjugated by the local unitary 1 (x) diag(e^{i phi_k}) on the last
+    factor: the same PPT minimum, but complex entries."""
+    d = h.dims[-1]
+    u = np.kron(np.eye(h.dim // d), np.diag(np.exp(1j * np.linspace(0.3, 2.1, d))))
+    return HermitianOperator(u @ h.matrix @ u.conj().T, h.dims)
+
+
+@pytest.mark.parametrize("name", REAL_MODELS + REAL_LATTICES)
+def test_real_path_matches_the_complex_path(name):
+    h = real_model(name)
+    assert not h.matrix.imag.any()
+    real_value, real_res = ppt_lower(h)
+    complex_value, complex_res = ppt_lower(phased(h))
+    assert real_res.rho.dtype == np.float64
+    assert complex_res.rho.dtype == np.complex128
+    assert abs(real_value - complex_value) <= 1e-9
+    assert real_res.converged == complex_res.converged
+
+
+@pytest.mark.parametrize("name", REAL_MODELS)
+def test_real_path_certificate_is_real_and_self_verifying(name):
+    h = from_identifier(name)
+    res = solve_ppt_sdp(h.matrix, h.dims)
+    for a in (res.rho, res.witness_q, res.witness_p):
+        assert a.dtype == np.float64
+    assert_self_verifying(h.matrix, res, h.dims)

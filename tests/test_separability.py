@@ -281,8 +281,8 @@ def test_ppt_lower_keeps_no_basis_alive(monkeypatch):
     made = []
     real = sdp._Basis
 
-    def tracked(da, db):
-        basis = real(da, db)
+    def tracked(*args):
+        basis = real(*args)
         made.append(weakref.ref(basis))
         return basis
 
