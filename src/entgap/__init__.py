@@ -16,9 +16,6 @@ from .operators import (
     operator_from_json,
     operator_to_json,
     partial_trace,
-    partial_transpose,
-    permute_subsystems,
-    regroup,
 )
 from .models import (
     ces_hamiltonian,
@@ -68,7 +65,6 @@ from .xy import (
     xy_chain_energy_extrema,
     xy_gap_surface,
     xy_sep_energy,
-    xy_sep_energy_numeric,
 )
 from .twoqubit import (
     SearchResult,

@@ -247,9 +247,7 @@ def cmd_search_2q(args, cfg: RunConfig) -> int:
 
 def cmd_compare_temps(args, cfg: RunConfig) -> int:
     dims = [int(d) for d in args.dims.split(",")]
-    rows = thermo.temperature_comparison(
-        dims, n_samples=args.samples, seed=cfg.seed, gap_tol=cfg.sdp_tol
-    )
+    rows = thermo.temperature_comparison(dims, seed=cfg.seed, gap_tol=cfg.sdp_tol)
     flat = [{"d": r["d"], "t_maxent": r["t_maxent"], "t_symproj": r["t_symproj"],
              "t_ces_lower": r["t_ces_bracket"][0], "t_ces_upper": r["t_ces_bracket"][1]}
             for r in rows]
@@ -320,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "compare-temps", cmd_compare_temps, ("seed", "sdp_tol"),
                      "projector-family gap temperatures")
     p.add_argument("--dims", default="3,4,5,6")
-    p.add_argument("--samples", type=int, default=20000)
     return parser
 
 
@@ -331,7 +328,7 @@ def main(argv=None) -> int:
         file_cfg = _load_config(args.config) if args.config else {}
         cfg = _run_config(args, file_cfg)
         return args.func(args, cfg)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LanczosError as exc:

@@ -20,6 +20,7 @@ from .operators import (
     DENSE_CUTOFF,
     HermitianOperator,
     MatrixFreeOperator,
+    json_int,
     partial_trace,
 )
 
@@ -125,10 +126,15 @@ class LatticeSpec:
         if name == "file":
             with open(parts[1]) as fh:
                 data = json.load(fh)
+            bonds = []
+            for b in data["bonds"]:
+                if not isinstance(b, list) or len(b) != 2:
+                    raise ValueError(f"bond {b!r} must be a pair of site indices")
+                bonds.append(tuple(json_int(site, "bond endpoint") for site in b))
             return cls(
-                n_sites=int(data["n_sites"]),
-                local_dim=int(data["local_dim"]),
-                bonds=tuple(tuple(b) for b in data["bonds"]),
+                n_sites=json_int(data["n_sites"], "n_sites"),
+                local_dim=json_int(data["local_dim"], "local_dim"),
+                bonds=tuple(bonds),
                 bipartition=tuple(data["bipartition"]) if "bipartition" in data else None,
             )
         raise ValueError(f"unknown lattice identifier {text!r}")

@@ -168,24 +168,6 @@ def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def partial_transpose(m: HermitianOperator, subsystem: int) -> HermitianOperator:
-    """Transpose one factor of a two-factor operator.
-
-    The operator must carry exactly two factors; for more subsystems
-    flatten to a bipartition first (see ``regroup``).  Involutive,
-    trace-preserving, Hermiticity-preserving.
-    """
-    if m.n_subsystems != 2:
-        raise ValueError(
-            f"partial transpose needs a two-factor view, got {m.n_subsystems} factors"
-        )
-    if subsystem not in (0, 1):
-        raise ValueError(f"invalid subsystem index {subsystem}")
-    t = partial_transpose_matrix(m.matrix, *m.dims)
-    # transposing the second factor is transposing the first, then the whole
-    return HermitianOperator(t if subsystem == 0 else t.T, m.dims)
-
-
 def partial_transpose_matrix(matrix: np.ndarray, da: int, db: int) -> np.ndarray:
     """Partial transpose over the first factor of raw (da*db) x (da*db)
     arrays, batched over any leading axes."""
@@ -212,29 +194,6 @@ def partial_trace(m: HermitianOperator, keep: Sequence[int]) -> HermitianOperato
     new_dims = [m.dims[i] for i in keep]
     side = int(np.prod(new_dims))
     return HermitianOperator(t.reshape(side, side), new_dims)
-
-
-def permute_subsystems(m: HermitianOperator, order: Sequence[int]) -> HermitianOperator:
-    """Reorder the tensor factors according to ``order``."""
-    order = list(order)
-    if sorted(order) != list(range(m.n_subsystems)):
-        raise ValueError(f"order {order} is not a permutation of the subsystems")
-    k = m.n_subsystems
-    t = m.matrix.reshape(m.dims + m.dims)
-    t = t.transpose(order + [k + i for i in order])
-    new_dims = [m.dims[i] for i in order]
-    return HermitianOperator(t.reshape(m.dim, m.dim), new_dims)
-
-
-def regroup(m: HermitianOperator, block: Sequence[int]) -> HermitianOperator:
-    """Flatten to a two-factor view with ``block`` as the first factor."""
-    block = list(block)
-    rest = [i for i in range(m.n_subsystems) if i not in block]
-    if not block or not rest:
-        raise ValueError("block must be a proper non-empty subset of subsystems")
-    p = permute_subsystems(m, block + rest)
-    da = int(np.prod([m.dims[i] for i in block]))
-    return HermitianOperator(p.matrix, (da, m.dim // da))
 
 
 def eig(m: HermitianOperator) -> Spectrum:
@@ -332,10 +291,29 @@ def operator_to_json(m: HermitianOperator) -> str:
     return json.dumps({"dims": list(m.dims), "matrix": mat})
 
 
+def json_int(value, name: str) -> int:
+    """An integral JSON number as an int; anything else (a fraction, a
+    string, a boolean) is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def operator_from_json(text: str) -> HermitianOperator:
     data = json.loads(text)
-    if "dims" not in data or "matrix" not in data:
+    if not isinstance(data, dict) or "dims" not in data or "matrix" not in data:
         raise ValueError("operator JSON needs 'dims' and 'matrix' keys")
-    rows = data["matrix"]
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return HermitianOperator(m, data["dims"])
+    if not isinstance(data["dims"], list):
+        raise ValueError(f"dims must be a list, got {data['dims']!r}")
+    dims = [json_int(d, "dims entry") for d in data["dims"]]
+    try:
+        pairs = np.array(data["matrix"])
+    except ValueError:  # ragged rows
+        pairs = np.array(())
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[-1] != 2:
+        raise ValueError("matrix must be rows of [re, im] pairs of real numbers")
+    # each pair's two float64s are the bytes of one complex128
+    m = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return HermitianOperator(m, dims)

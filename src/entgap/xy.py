@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize
 
 from .separability import ProductState
 
@@ -33,17 +32,6 @@ class XYPoint:
     e_max_site: float
     gap_bond: float
     scaled_gap: float
-
-
-def pair_energy(gamma, lam, theta_a, phi_a, theta_b, phi_b):
-    """Energy of the product of two Bloch vectors under the XY coupling."""
-    return (
-        lam / 2 * (np.cos(2 * theta_a) + np.cos(2 * theta_b))
-        + (1 + gamma) / 2
-        * np.cos(phi_a) * np.sin(2 * theta_a) * np.cos(phi_b) * np.sin(2 * theta_b)
-        + (1 - gamma) / 2
-        * np.sin(phi_a) * np.sin(2 * theta_a) * np.sin(phi_b) * np.sin(2 * theta_b)
-    )
 
 
 def xy_sep_energy(gamma: float, lam: float):
@@ -75,25 +63,6 @@ def xy_sep_energy(gamma: float, lam: float):
         rot = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
         a, b = rot @ a, rot @ b
     return energy, ProductState((a, b))
-
-
-def xy_sep_energy_numeric(
-    gamma: float, lam: float, n_starts: int = 24, seed: int = 0
-) -> float:
-    """Direct 4-angle minimization of the product energy (multi-start
-    local descent); an independent check on the closed form."""
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(n_starts):
-        x0 = rng.uniform([0, 0, 0, 0], [np.pi / 2, 2 * np.pi, np.pi / 2, 2 * np.pi])
-        res = minimize(
-            lambda x: pair_energy(gamma, lam, *x),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        best = min(best, float(res.fun))
-    return best
 
 
 def dispersion(k, gamma: float, lam: float):

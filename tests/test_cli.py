@@ -130,6 +130,47 @@ def test_one_factor_operator_exits_2(command, tmp_path, capsys):
     assert "two or more factors" in err
 
 
+HEISENBERG_ROWS = [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [-1, 0], [2, 0], [0, 0]],
+                   [[0, 0], [2, 0], [-1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]
+CHAIN_3 = {"n_sites": 3, "local_dim": 2, "bonds": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("model,lattice,field", [
+    ({"dims": [2, 2], "matrix": [[1, 0, 0, 0], [0, -1, 2, 0], [0, 2, -1, 0], [0, 0, 0, 1]]},
+     None, "matrix"),
+    ({"dims": [2, 2], "matrix": [[["a", 0]] + HEISENBERG_ROWS[0][1:], *HEISENBERG_ROWS[1:]]},
+     None, "matrix"),
+    ({"dims": [2, 2], "matrix": [*HEISENBERG_ROWS[:3], HEISENBERG_ROWS[3][:3]]}, None, "matrix"),
+    ({"dims": [2.7, 2], "matrix": HEISENBERG_ROWS}, None, "dims"),
+    (None, CHAIN_3 | {"n_sites": 3.9}, "n_sites"),
+    (None, CHAIN_3 | {"local_dim": 2.5}, "local_dim"),
+    (None, CHAIN_3 | {"bonds": [[0, 1], [1, "2"]]}, "bond endpoint"),
+    (None, CHAIN_3 | {"bonds": [[0, 1], [1, 1.5]]}, "bond endpoint"),
+], ids=["plain-numbers", "string-entry", "ragged-rows", "fractional-dims", "fractional-n-sites",
+        "fractional-local-dim", "string-endpoint", "fractional-endpoint"])
+def test_malformed_file_input_exits_2_and_names_the_field(model, lattice, field, tmp_path,
+                                                          capsys):
+    argv = ["gap", "--model", "heisenberg", "--json"]
+    if model is not None:
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        argv[2] = f"file:{tmp_path / 'model.json'}"
+    if lattice is not None:
+        (tmp_path / "lattice.json").write_text(json.dumps(lattice))
+        argv += ["--lattice", f"file:{tmp_path / 'lattice.json'}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "file:{dir}"], ["--model", "heisenberg", "--config", "{dir}"],
+], ids=["model", "config"])
+def test_a_directory_given_as_a_file_exits_2(argv, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "gap", *(a.format(dir=tmp_path) for a in argv), "--json")
+    assert code == 2 and out == ""
+    assert str(tmp_path) in err
+
+
 def test_malformed_grid_exits_2(capsys):
     code, _, err = run_cli(capsys, "xy-scan", "--gamma", "0:1", "--json")
     assert code == 2
@@ -212,13 +253,18 @@ def test_search_2q_small(capsys):
 
 
 def test_compare_temps_small(capsys):
-    code, out, _ = run_cli(
-        capsys, "compare-temps", "--dims", "3", "--samples", "2000", "--json"
-    )
+    code, out, _ = run_cli(capsys, "compare-temps", "--dims", "3", "--json")
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["t_symproj"] == pytest.approx(1.4427, abs=1e-3)
     assert row["t_ces_bracket"][1] < row["t_symproj"]
+
+
+def test_removed_compare_temps_samples_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare-temps", "--dims", "3", "--samples", "10"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_run_config_validation():
@@ -361,7 +407,7 @@ def test_unread_setting_is_a_usage_error(command, setting, capsys):
     ["table2", "--restarts", "2"],
     ["xy-scan", "--gamma", "0:1:0.5", "--lambda", "0:1:0.5"],
     ["search-2q", "--samples", "20", "--workers", "1"],
-    ["compare-temps", "--dims", "3", "--samples", "200"],
+    ["compare-temps", "--dims", "3"],
 ], ids=lambda argv: argv[0])
 def test_pretty_ends_with_the_json_line(argv, capsys):
     code, pretty, _ = run_cli(capsys, *argv, "--pretty")

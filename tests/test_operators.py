@@ -14,11 +14,9 @@ from entgap.operators import (
     operator_from_json,
     operator_to_json,
     partial_trace,
-    partial_transpose,
-    permute_subsystems,
+    partial_transpose_matrix,
     random_hermitian,
     random_state_vector,
-    regroup,
 )
 from entgap.models import SIGMA_X, SIGMA_Y, SIGMA_Z, heisenberg_pair, singlet
 
@@ -72,38 +70,39 @@ def test_kron_heisenberg_spectrum():
 
 def test_partial_transpose_involution_trace_hermiticity():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        h = HermitianOperator(random_hermitian(6, rng), (2, 3))
-        pt = partial_transpose(h, 0)
-        assert np.max(np.abs(partial_transpose(pt, 0).matrix - h.matrix)) < 1e-12
-        assert abs(np.trace(pt.matrix) - np.trace(h.matrix)) < 1e-12
-        assert np.max(np.abs(pt.matrix - pt.matrix.conj().T)) < 1e-12
+    inputs = [random_hermitian(6, rng) for _ in range(10)]
+    inputs.append(np.array([random_hermitian(6, rng) for _ in range(3)]))  # a stack
+    for h in inputs:
+        pt = partial_transpose_matrix(h, 2, 3)
+        assert pt.shape == h.shape
+        assert np.max(np.abs(partial_transpose_matrix(pt, 2, 3) - h)) < 1e-12
+        trace = np.trace(h, axis1=-2, axis2=-1)
+        assert np.max(np.abs(np.trace(pt, axis1=-2, axis2=-1) - trace)) < 1e-12
+        assert np.max(np.abs(pt - pt.conj().swapaxes(-1, -2))) < 1e-12
+
+
+def test_partial_transpose_transposes_the_first_factor_of_each_member():
+    rng = np.random.default_rng(5)
+    pairs = [(random_hermitian(2, rng), random_hermitian(3, rng)) for _ in range(3)]
+    stack = np.array([np.kron(a, b) for a, b in pairs])
+    expected = np.array([np.kron(a.T, b) for a, b in pairs])
+    assert np.array_equal(partial_transpose_matrix(stack, 2, 3), expected)
+    assert np.array_equal(partial_transpose_matrix(stack[0], 2, 3), expected[0])
 
 
 def test_partial_transpose_product_state_stays_positive():
     rng = np.random.default_rng(1)
     a = random_state_vector(2, rng)
     b = random_state_vector(2, rng)
-    rho = HermitianOperator(
-        np.kron(np.outer(a, a.conj()), np.outer(b, b.conj())), (2, 2)
-    )
-    pt = partial_transpose(rho, 0)
-    assert np.linalg.eigvalsh(pt.matrix)[0] > -1e-12
+    rho = np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+    pt = partial_transpose_matrix(rho, 2, 2)
+    assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
 
 def test_partial_transpose_singlet_min_eigenvalue():
     s = singlet()
-    rho = HermitianOperator(np.outer(s, s.conj()), (2, 2))
-    w = np.linalg.eigvalsh(partial_transpose(rho, 0).matrix)
+    w = np.linalg.eigvalsh(partial_transpose_matrix(np.outer(s, s.conj()), 2, 2))
     assert w[0] == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_partial_transpose_needs_two_factors():
-    h = HermitianOperator(np.eye(8), (2, 2, 2))
-    with pytest.raises(ValueError):
-        partial_transpose(h, 0)
-    with pytest.raises(ValueError):
-        partial_transpose(regroup(h, [0]), 2)
 
 
 def test_partial_trace_product_and_marginal():
@@ -127,20 +126,6 @@ def test_partial_trace_validates_keep():
         partial_trace(h, [])
     with pytest.raises(ValueError):
         partial_trace(h, [2])
-
-
-def test_permute_and_regroup_on_product():
-    rng = np.random.default_rng(3)
-    mats = [random_hermitian(d, rng) for d in (2, 3, 2)]
-    ops = [HermitianOperator(m, (d,)) for m, d in zip(mats, (2, 3, 2))]
-    h = kron(kron(ops[0], ops[1]), ops[2])
-    p = permute_subsystems(h, [2, 0, 1])
-    expect = np.kron(np.kron(mats[2], mats[0]), mats[1])
-    assert np.max(np.abs(p.matrix - expect)) < 1e-12
-    g = regroup(h, [1])
-    assert g.dims == (3, 4)
-    expect2 = np.kron(mats[1], np.kron(mats[0], mats[2]))
-    assert np.max(np.abs(g.matrix - expect2)) < 1e-12
 
 
 def test_eig_reconstruction_random():
