@@ -21,6 +21,7 @@ from . import lattices, models, sdp, separability, tables, thermo, twoqubit, xy
 from .operators import LanczosError
 
 SCHEMA = 1
+OUTPUTS = ("json", "csv", "pretty")
 
 
 @dataclass
@@ -36,6 +37,8 @@ class RunConfig:
             raise ValueError("restarts must be >= 1")
         if self.sdp_tol <= 0 or self.bisect_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.output not in OUTPUTS:
+            raise ValueError(f"output must be one of {', '.join(OUTPUTS)}, got {self.output!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -264,7 +267,7 @@ def _add_command(sub, name, func, settings, summary):
         p.add_argument("--" + setting.replace("_", "-"),
                        type=type(getattr(RunConfig, setting)), default=None)
     fmt = p.add_mutually_exclusive_group()
-    for output in ("json", "csv", "pretty"):
+    for output in OUTPUTS:
         fmt.add_argument("--" + output, action="store_const", dest="output", const=output)
     p.set_defaults(func=func, output=None)
     return p

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .models import split_identifier
+from .models import parse_identifier
 from .operators import (
     DENSE_CUTOFF,
     HermitianOperator,
@@ -25,8 +25,6 @@ from .operators import (
 )
 
 MAX_SIDE = 2 ** 20
-LATTICE_FORMS = {"star": "star:k", "ring": "ring:n", "chain": "chain:n",
-                 "complete": "complete:n", "file": "file:<path.json>"}
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,6 @@ class LatticeSpec:
     n_sites: int
     local_dim: int
     bonds: tuple
-    bipartition: tuple | None = None
 
     def __post_init__(self):
         seen = set()
@@ -52,13 +49,6 @@ class LatticeSpec:
         object.__setattr__(
             self, "bonds", tuple((min(i, j), max(i, j)) for (i, j) in self.bonds)
         )
-        if self.bipartition is not None:
-            coloring = self.bipartition
-            if len(coloring) != self.n_sites or any(c not in (0, 1) for c in coloring):
-                raise ValueError("bipartition must two-color every site")
-            for (i, j) in self.bonds:
-                if coloring[i] == coloring[j]:
-                    raise ValueError(f"bond ({i},{j}) does not cross the bipartition")
 
     @property
     def dim(self) -> int:
@@ -70,24 +60,21 @@ class LatticeSpec:
         if k < 1:
             raise ValueError("star needs k >= 1")
         bonds = tuple((0, i) for i in range(1, k + 1))
-        colors = (0,) + (1,) * k
-        return cls(k + 1, local_dim, bonds, bipartition=colors)
+        return cls(k + 1, local_dim, bonds)
 
     @classmethod
     def ring(cls, n: int, local_dim: int = 2) -> "LatticeSpec":
         if n < 3:
             raise ValueError("ring needs n >= 3")
         bonds = tuple((i, (i + 1) % n) for i in range(n))
-        colors = tuple(i % 2 for i in range(n)) if n % 2 == 0 else None
-        return cls(n, local_dim, bonds, bipartition=colors)
+        return cls(n, local_dim, bonds)
 
     @classmethod
     def chain(cls, n: int, local_dim: int = 2) -> "LatticeSpec":
         if n < 2:
             raise ValueError("chain needs n >= 2")
         bonds = tuple((i, i + 1) for i in range(n - 1))
-        colors = tuple(i % 2 for i in range(n))
-        return cls(n, local_dim, bonds, bipartition=colors)
+        return cls(n, local_dim, bonds)
 
     @classmethod
     def triangle(cls, local_dim: int = 2) -> "LatticeSpec":
@@ -107,42 +94,33 @@ class LatticeSpec:
 
     @classmethod
     def from_identifier(cls, text: str, local_dim: int = 2) -> "LatticeSpec":
-        """Parse star:5 | ring:8 | chain:6 | triangle | tetrahedron |
-        complete:4 | file:<path.json>."""
-        parts = split_identifier(text, LATTICE_FORMS)
-        name = parts[0]
-        if name == "star":
-            return cls.star(int(parts[1]), local_dim)
-        if name == "ring":
-            return cls.ring(int(parts[1]), local_dim)
-        if name == "chain":
-            return cls.chain(int(parts[1]), local_dim)
-        if name == "triangle":
-            return cls.triangle(local_dim)
-        if name == "tetrahedron":
-            return cls.tetrahedron(local_dim)
-        if name == "complete":
-            return cls.complete(int(parts[1]), local_dim)
-        if name == "file":
-            with open(parts[1]) as fh:
-                data = json.load(fh)
-            bonds = []
-            for b in data["bonds"]:
-                if not isinstance(b, list) or len(b) != 2:
-                    raise ValueError(f"bond {b!r} must be a pair of site indices")
-                bonds.append(tuple(json_int(site, "bond endpoint") for site in b))
-            return cls(
-                n_sites=json_int(data["n_sites"], "n_sites"),
-                local_dim=json_int(data["local_dim"], "local_dim"),
-                bonds=tuple(bonds),
-                bipartition=tuple(data["bipartition"]) if "bipartition" in data else None,
-            )
-        raise ValueError(f"unknown lattice identifier {text!r}")
+        """Build a lattice from its CLI identifier (see ``LATTICES``) with
+        sites of dimension ``local_dim``; a file sets its own."""
+        return parse_identifier(text, LATTICES, local_dim)
+
+    @classmethod
+    def from_file(cls, path: str) -> "LatticeSpec":
+        """Read lattice JSON: an object with ``n_sites``, ``local_dim`` and
+        ``bonds`` (a list of site-index pairs); other keys are ignored."""
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or not {"n_sites", "local_dim", "bonds"} <= data.keys():
+            raise ValueError("lattice JSON must be an object with n_sites, local_dim and bonds")
+        if not isinstance(data["bonds"], list):
+            raise ValueError("bonds must be a list of site-index pairs")
+        bonds = []
+        for b in data["bonds"]:
+            if not isinstance(b, list) or len(b) != 2:
+                raise ValueError(f"bond {b!r} must be a pair of site indices")
+            bonds.append(tuple(json_int(site, "bond endpoint") for site in b))
+        return cls(
+            n_sites=json_int(data["n_sites"], "n_sites"),
+            local_dim=json_int(data["local_dim"], "local_dim"),
+            bonds=tuple(bonds),
+        )
 
     def bipartition_coloring(self):
-        """The stored two-coloring, or one found by BFS; raises on odd cycles."""
-        if self.bipartition is not None:
-            return self.bipartition
+        """Two-coloring by graph search, site 0 colored 0; raises on odd cycles."""
         colors = [-1] * self.n_sites
         adj = [[] for _ in range(self.n_sites)]
         for (i, j) in self.bonds:
@@ -162,6 +140,18 @@ class LatticeSpec:
                     elif colors[v] == colors[u]:
                         raise ValueError("lattice is not bipartite")
         return tuple(colors)
+
+
+# name -> (form, builder, parameter types), read by ``models.parse_identifier``
+LATTICES = {
+    "star": ("star:<k>", LatticeSpec.star, (int,)),
+    "ring": ("ring:<N>", LatticeSpec.ring, (int,)),
+    "chain": ("chain:<N>", LatticeSpec.chain, (int,)),
+    "triangle": ("triangle", LatticeSpec.triangle, ()),
+    "tetrahedron": ("tetrahedron", LatticeSpec.tetrahedron, ()),
+    "complete": ("complete:<n>", LatticeSpec.complete, (int,)),
+    "file": ("file:<path.json>", lambda path, local_dim: LatticeSpec.from_file(path), (str,)),
+}
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ returns a :class:`~entgap.operators.HermitianOperator`.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .operators import HermitianOperator, operator_from_json
@@ -194,46 +196,38 @@ def upb_hamiltonian(basis: str = "tiles") -> HermitianOperator:
     return HermitianOperator(m, (d, d))
 
 
-def split_identifier(text: str, forms: dict) -> list[str]:
-    """Split a CLI identifier into its name and parameters (a ``file:``
-    path is one parameter, colons and all).  Raises ValueError when a
-    name in ``forms`` has another parameter count than its form there."""
+# name -> (form, builder, parameter types), read by ``parse_identifier``
+MODELS = {
+    "heisenberg": ("heisenberg", heisenberg_pair, ()),
+    "xy": ("xy:<gamma>:<lambda>", xy_pair, (float, float)),
+    "xxz": ("xxz:<delta>", xxz_pair, (float,)),
+    "maxent": ("maxent:<d>", max_entangled_projector_hamiltonian, (int,)),
+    "symproj": ("symproj:<d>", symmetric_projector_hamiltonian, (int,)),
+    "ces": ("ces:<d>", ces_hamiltonian, (int,)),
+    "choi": ("choi", choi_hamiltonian, ()),
+    "upb": ("upb:tiles", upb_hamiltonian, (str,)),
+    "file": ("file:<path.json>", lambda p: operator_from_json(Path(p).read_text()), (str,)),
+}
+
+
+def parse_identifier(text: str, table: dict, *tail):
+    """Build what a CLI identifier names: ``table[name]`` is (form, builder,
+    parameter types); the builder gets the converted parameters, then ``tail``.
+    A ``file:`` path is one parameter, colons and all.  An unknown name, or
+    parameters that do not fit the form, raise ValueError before any build."""
     name, colon, rest = text.partition(":")
-    parts = [name, rest] if name == "file" and colon else text.split(":")
-    if name in forms and len(parts) != forms[name].count(":") + 1:
-        raise ValueError(f"identifier {text!r} needs the form {forms[name]}")
-    return parts
-
-
-MODEL_FORMS = {"xy": "xy:g:l", "xxz": "xxz:d", "maxent": "maxent:d",
-               "symproj": "symproj:d", "ces": "ces:d", "file": "file:<path.json>"}
+    params = [rest] if name == "file" and colon else text.split(":")[1:]
+    if name not in table:
+        known = ", ".join(form for form, _, _ in table.values())
+        raise ValueError(f"unknown identifier {text!r}; known forms: {known}")
+    form, build, types = table[name]
+    try:
+        args = [kind(p) for kind, p in zip(types, params, strict=True)]
+    except ValueError:
+        raise ValueError(f"identifier {text!r} needs the form {form}") from None
+    return build(*args, *tail)
 
 
 def from_identifier(text: str) -> HermitianOperator:
-    """Build any named model Hamiltonian from its CLI identifier.
-
-    Identifiers: heisenberg | xy:g:l | xxz:d | maxent:d | symproj:d |
-    ces:d | choi | upb:tiles | file:<path.json>.
-    """
-    parts = split_identifier(text, MODEL_FORMS)
-    name = parts[0]
-    if name == "heisenberg":
-        return heisenberg_pair()
-    if name == "xy":
-        return xy_pair(float(parts[1]), float(parts[2]))
-    if name == "xxz":
-        return xxz_pair(float(parts[1]))
-    if name == "maxent":
-        return max_entangled_projector_hamiltonian(int(parts[1]))
-    if name == "symproj":
-        return symmetric_projector_hamiltonian(int(parts[1]))
-    if name == "ces":
-        return ces_hamiltonian(int(parts[1]))
-    if name == "choi":
-        return choi_hamiltonian()
-    if name == "upb":
-        return upb_hamiltonian(parts[1] if len(parts) > 1 else "tiles")
-    if name == "file":
-        with open(parts[1]) as fh:
-            return operator_from_json(fh.read())
-    raise ValueError(f"unknown model identifier {text!r}")
+    """Build a model Hamiltonian from its CLI identifier (see ``MODELS``)."""
+    return parse_identifier(text, MODELS)

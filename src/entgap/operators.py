@@ -39,8 +39,8 @@ class HermitianOperator:
     ----------
     matrix : array-like
         Square complex matrix of side ``prod(dims)``.  An asymmetry
-        ``max|m - m*|`` below 1e-10 is symmetrized away; anything larger
-        is rejected as a logic error rather than floating-point drift.
+        ``max|m - m*|`` below 1e-10 is symmetrized away; a larger one or
+        a non-finite entry is rejected as a logic error, not drift.
     dims : sequence of int
         Subsystem dimensions, each >= 2, subsystem 0 leftmost.
     """
@@ -58,8 +58,8 @@ class HermitianOperator:
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         asym = np.max(np.abs(m - m.conj().T)) if side else 0.0
-        if asym > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+        if not asym <= HERMITICITY_TOL:
+            raise ValueError(f"matrix is not finite and Hermitian (asymmetry {asym:.3e})")
         m = (m + m.conj().T) / 2
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

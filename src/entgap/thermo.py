@@ -115,6 +115,20 @@ def entanglement_gap_temperature(
     return 0.5 * (t_lo + t_hi)
 
 
+def bisect_bool(pred, x_false: float, x_true: float, tol: float) -> float:
+    """Halve [x_false, x_true] (either order) down to ``tol`` or BISECT_CAP
+    times, keeping ``pred`` False at one end; returns the end where it is True."""
+    for _ in range(BISECT_CAP):
+        if abs(x_true - x_false) <= tol:
+            break
+        mid = 0.5 * (x_true + x_false)
+        if pred(mid):
+            x_true = mid
+        else:
+            x_false = mid
+    return x_true
+
+
 def scaled_gap_temperature(h, e_sep: float, tol: float = 1e-10) -> float | None:
     """Gap temperature divided by the total spectral range."""
     w = _eigenvalues(h)
@@ -198,23 +212,12 @@ def bound_entanglement_window(
         return None
     lo_idx, hi_idx = max(runs, key=lambda r: r[1] - r[0])
 
-    def refine(t_false: float, t_true: float) -> float:
-        for _ in range(BISECT_CAP):
-            if abs(t_true - t_false) <= refine_tol:
-                break
-            mid = 0.5 * (t_true + t_false)
-            if in_window(mid):
-                t_true = mid
-            else:
-                t_false = mid
-        return t_true
-
     t_low = float(grid[lo_idx])
     if lo_idx > 0:
-        t_low = refine(float(grid[lo_idx - 1]), t_low)
+        t_low = bisect_bool(in_window, float(grid[lo_idx - 1]), t_low, refine_tol)
     t_high = float(grid[hi_idx])
     if hi_idx < len(grid) - 1:
-        t_high = refine(float(grid[hi_idx + 1]), t_high)
+        t_high = bisect_bool(in_window, float(grid[hi_idx + 1]), t_high, refine_tol)
     return (t_low, t_high)
 
 

@@ -22,7 +22,7 @@ from .sdp import solve_ppt_sdp_batch
 # ppt_lower stays importable from this module, where perfbench's tracer
 # tests look for it; the search itself calls the batched solver
 from .separability import ppt_lower, seesaw_upper  # noqa: F401
-from .thermo import entanglement_gap_temperature
+from .thermo import _thermal_energy_from_levels, bisect_bool, entanglement_gap_temperature
 
 AFM_SCALED_T = 1.0 / np.log(3.0)
 ZERO_GAP_TOL = 1e-9
@@ -121,33 +121,22 @@ def e2_bounds(e1: float, tol: float = 1e-10):
     """
     if not (0.25 < e1 <= 1.0):
         raise ValueError("e1 must lie in (1/4, 1]")
-    t_star = AFM_SCALED_T
 
     def u_thermal(e2):
-        w = np.array([0.0, e1, e2, 1.0])
-        x = np.exp(-w / t_star)
-        return float((w * x).sum() / x.sum())
+        return _thermal_energy_from_levels(np.array([0.0, e1, e2, 1.0]), AFM_SCALED_T)
 
-    def bisect(f, lo, hi):
-        """Root of an increasing f on [lo, hi], clamped at the ends."""
-        if f(lo) > 0:
-            return lo
-        if f(hi) < 0:
-            return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if abs(hi - lo) < tol:
-                return mid
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def root(f):
+        """Root of an increasing f on [e1, 1], clamped at the ends."""
+        if f(e1) > 0:
+            return e1
+        if f(1.0) < 0:
+            return 1.0
+        return bisect_bool(lambda e2: f(e2) >= 0, e1, 1.0, tol)
 
     # U' grows through (e1+1)/4 at the lower curve; the state energy
     # e2/2 grows through U' at the upper one
-    e2_lb = bisect(lambda e2: u_thermal(e2) - (e1 + 1.0) / 4.0, e1, 1.0)
-    e2_ub = bisect(lambda e2: e2 / 2.0 - u_thermal(e2), e1, 1.0)
+    e2_lb = root(lambda e2: u_thermal(e2) - (e1 + 1.0) / 4.0)
+    e2_ub = root(lambda e2: e2 / 2.0 - u_thermal(e2))
     return e2_lb, e2_ub
 
 

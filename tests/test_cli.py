@@ -112,6 +112,10 @@ def test_unknown_model_exits_2(capsys):
     ["--model", "maxent"], ["--model", "ces"], ["--model", "symproj"], ["--model", "file"],
     *(["--model", "heisenberg", "--lattice", name]
       for name in ("star", "ring", "chain", "complete", "file")),
+    # parameters that do not fit the form: too many, unconvertible or absent
+    *(["--model", name] for name in ("heisenberg:9", "choi:x", "upb:tiles:x", "upb")),
+    *(["--model", "heisenberg", "--lattice", name]
+      for name in ("triangle:5", "tetrahedron:1", "star:4:1", "star:x")),
 ])
 def test_identifier_missing_its_parameter_exits_2(argv, capsys):
     code, out, err = run_cli(capsys, "gap", *argv, "--json")
@@ -135,6 +139,20 @@ HEISENBERG_ROWS = [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [-1, 0], [2, 0], [
 CHAIN_3 = {"n_sites": 3, "local_dim": 2, "bonds": [[0, 1], [1, 2]]}
 
 
+@pytest.mark.parametrize("command", ["gap", "window"])
+@pytest.mark.parametrize("model", ["file:nan", "file:inf", "xy:nan:0.5", "xxz:inf"])
+def test_non_finite_operator_exits_2(command, model, tmp_path, capsys):
+    if model.startswith("file:"):
+        # json writes the entry as NaN or Infinity, which json reads back
+        rows = [[[*pair] for pair in row] for row in HEISENBERG_ROWS]
+        rows[1][1][0] = float(model[5:])
+        (tmp_path / "model.json").write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
+        model = f"file:{tmp_path / 'model.json'}"
+    code, out, err = run_cli(capsys, command, "--model", model, "--json")
+    assert code == 2 and out == ""
+    assert "not finite and Hermitian" in err
+
+
 @pytest.mark.parametrize("model,lattice,field", [
     ({"dims": [2, 2], "matrix": [[1, 0, 0, 0], [0, -1, 2, 0], [0, 2, -1, 0], [0, 0, 0, 1]]},
      None, "matrix"),
@@ -146,8 +164,13 @@ CHAIN_3 = {"n_sites": 3, "local_dim": 2, "bonds": [[0, 1], [1, 2]]}
     (None, CHAIN_3 | {"local_dim": 2.5}, "local_dim"),
     (None, CHAIN_3 | {"bonds": [[0, 1], [1, "2"]]}, "bond endpoint"),
     (None, CHAIN_3 | {"bonds": [[0, 1], [1, 1.5]]}, "bond endpoint"),
+    (None, [CHAIN_3], "object with n_sites, local_dim and bonds"),
+    (None, CHAIN_3 | {"bonds": 5}, "bonds must be a list"),
+    (None, {"n_sites": 3, "local_dim": 2}, "object with n_sites, local_dim and bonds"),
+    (None, {"local_dim": 2, "bonds": [[0, 1]]}, "object with n_sites, local_dim and bonds"),
 ], ids=["plain-numbers", "string-entry", "ragged-rows", "fractional-dims", "fractional-n-sites",
-        "fractional-local-dim", "string-endpoint", "fractional-endpoint"])
+        "fractional-local-dim", "string-endpoint", "fractional-endpoint", "top-level-list",
+        "bonds-not-a-list", "missing-bonds", "missing-n-sites"])
 def test_malformed_file_input_exits_2_and_names_the_field(model, lattice, field, tmp_path,
                                                           capsys):
     argv = ["gap", "--model", "heisenberg", "--json"]
@@ -294,6 +317,14 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     )
     assert code == 0
     assert "E_sep in [" in out2  # flag overrides the file
+
+
+def test_config_file_output_outside_the_formats_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "entgap.cfg"
+    cfg.write_text("output = xml\n")
+    code, out, err = run_cli(capsys, "gap", "--model", "heisenberg", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "xml" in err
 
 
 def test_config_file_values_take_the_field_types():

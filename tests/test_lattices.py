@@ -36,15 +36,16 @@ def test_lattice_validation():
         LatticeSpec(3, 2, ((0, 3),))
     with pytest.raises(ValueError):
         LatticeSpec(3, 2, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        LatticeSpec(2, 2, ((0, 1),), bipartition=(0, 0))
 
 
 def test_bipartition_coloring():
-    colors = LatticeSpec.ring(6).bipartition_coloring()
-    assert all(colors[i] != colors[j] for (i, j) in LatticeSpec.ring(6).bonds)
-    with pytest.raises(ValueError):
-        LatticeSpec.triangle().bipartition_coloring()
+    # the colorings star, ring and chain stored before they were derived
+    assert LatticeSpec.star(4).bipartition_coloring() == (0, 1, 1, 1, 1)
+    assert LatticeSpec.ring(6).bipartition_coloring() == (0, 1, 0, 1, 0, 1)
+    assert LatticeSpec.chain(5).bipartition_coloring() == (0, 1, 0, 1, 0)
+    for odd_cycle in (LatticeSpec.triangle(), LatticeSpec.ring(5)):
+        with pytest.raises(ValueError):
+            odd_cycle.bipartition_coloring()
 
 
 def test_identifier_parsing(tmp_path):
@@ -52,9 +53,11 @@ def test_identifier_parsing(tmp_path):
     assert LatticeSpec.from_identifier("ring:6").n_sites == 6
     assert LatticeSpec.from_identifier("tetrahedron").n_sites == 4
     path = tmp_path / "lat.json"
-    path.write_text('{"n_sites": 4, "local_dim": 2, "bonds": [[0,1],[1,2],[2,3],[3,0]]}')
+    # keys other than n_sites, local_dim and bonds are ignored
+    path.write_text('{"n_sites": 4, "local_dim": 2, "bonds": [[0,1],[1,2],[2,3],[3,0]], '
+                    '"bipartition": [0, 0, 0, 0]}')
     spec = LatticeSpec.from_identifier(f"file:{path}")
-    assert spec.n_sites == 4 and len(spec.bonds) == 4
+    assert spec == LatticeSpec.ring(4)
     with pytest.raises(ValueError):
         LatticeSpec.from_identifier("moebius:3")
 

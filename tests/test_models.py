@@ -1,7 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from entgap.lattices import LATTICES, LatticeSpec
 from entgap.models import (
+    MODELS,
     SIGMA_X,
     ces_hamiltonian,
     ces_projector,
@@ -128,6 +133,17 @@ def test_identifier_parsing():
     for bad in ("nosuch", "xy:1", "xxz", "upb:zzz"):
         with pytest.raises(ValueError):
             from_identifier(bad)
+
+
+def test_every_readme_identifier_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"--(model|lattice) ([^\s`]+)", readme)
+    assert examples
+    for flag, text in examples:
+        (from_identifier if flag == "model" else LatticeSpec.from_identifier)(text)
+    for table in (MODELS, LATTICES):
+        for form, _, _ in table.values():
+            assert f"`{form}`" in readme
 
 
 def test_identifier_file_round_trip(tmp_path):
