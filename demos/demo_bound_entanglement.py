@@ -10,14 +10,15 @@ extreme case: every low-energy state is bound entangled.
 
 import numpy as np
 
-from entgap import choi_hamiltonian, ppt_lower, seesaw_upper, upb_hamiltonian
+from entgap import choi_hamiltonian, eig, ppt_lower, seesaw_upper, upb_hamiltonian
 from entgap.thermo import bound_entanglement_window, is_gibbs_ppt, thermal_energy
 
 print("=" * 70)
 print("Choi Hamiltonian (3 x 3)")
 print("=" * 70)
 h = choi_hamiltonian()
-print(f"spectrum: {np.round(np.linalg.eigvalsh(h.matrix), 6)}")
+spec = eig(h)
+print(f"spectrum: {np.round(spec.eigenvalues, 6)}")
 lo, res = ppt_lower(h)
 up, _ = seesaw_upper(h, restarts=64, seed=0)
 print(f"PPT lower bound:   {lo:+.9f}   (closed form (3-2*sqrt(3))/3 = "
@@ -25,12 +26,12 @@ print(f"PPT lower bound:   {lo:+.9f}   (closed form (3-2*sqrt(3))/3 = "
 print(f"seesaw upper bound:{up:+.2e}   (true separable minimum is 0)")
 print(f"relaxation gap {up - lo:.4f}: energies in it are PPT yet entangled")
 
-window = bound_entanglement_window(h, 0.0, t_min=0.8, t_max=1.8)
+window = bound_entanglement_window(spec, 0.0, t_min=0.8, t_max=1.8)
 print(f"\nthermal window of bound entanglement: "
       f"[{window[0]:.4f}, {window[1]:.4f}]  (reference ~[1.256, 1.271])")
 for t in (1.20, 1.26, 1.30):
-    u = thermal_energy(h, t)
-    print(f"  T={t:.2f}: U = {u:+.4f}  PPT = {is_gibbs_ppt(h, t)}")
+    u = thermal_energy(spec.eigenvalues, t)
+    print(f"  T={t:.2f}: U = {u:+.4f}  PPT = {is_gibbs_ppt(spec, t)}")
 
 print()
 print("=" * 70)
@@ -41,5 +42,5 @@ lo_u, _ = ppt_lower(hu)
 up_u, _ = seesaw_upper(hu, restarts=128, seed=0)
 print(f"PPT lower bound:    {lo_u:+.2e}  (the UPB complement holds PPT states)")
 print(f"seesaw upper bound: {up_u:+.9f}  (no product state reaches the ground manifold)")
-w = bound_entanglement_window(hu, up_u, t_min=0.01, t_max=1.0)
+w = bound_entanglement_window(eig(hu), up_u, t_min=0.01, t_max=1.0)
 print(f"window: every thermal state below T = {w[1]:.4f} is bound entangled")

@@ -12,6 +12,7 @@ below both because its gap is tiny.
 import numpy as np
 
 from entgap import (
+    eig,
     max_entangled_projector_hamiltonian,
     symmetric_projector_hamiltonian,
 )
@@ -23,8 +24,10 @@ print("=" * 74)
 print(f"{'d':>3} {'t_E maxent':>12} {'1/ln(d+1)':>11} {'t_E symproj':>13} "
       f"{'1/ln((d+1)/(d-1))':>18}")
 for d in (2, 3, 4, 6, 10):
-    t_me = scaled_gap_temperature(max_entangled_projector_hamiltonian(d), 1 - 1 / d)
-    t_s = scaled_gap_temperature(symmetric_projector_hamiltonian(d), 0.5)
+    w_me = eig(max_entangled_projector_hamiltonian(d)).eigenvalues
+    w_s = eig(symmetric_projector_hamiltonian(d)).eigenvalues
+    t_me = scaled_gap_temperature(w_me, 1 - 1 / d)
+    t_s = scaled_gap_temperature(w_s, 0.5)
     print(f"{d:>3} {t_me:>12.6f} {1 / np.log(d + 1):>11.6f} {t_s:>13.6f} "
           f"{1 / np.log((d + 1) / (d - 1)):>18.6f}")
 print("\nmaxent falls with d; symproj grows ~d/2 without bound.")

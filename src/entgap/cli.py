@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import lattices, models, sdp, separability, tables, thermo, twoqubit, xy
-from .operators import LanczosError
+from .operators import LanczosError, eig
 
 SCHEMA = 1
 OUTPUTS = ("json", "csv", "pretty")
@@ -131,11 +131,15 @@ def cmd_temp(args, cfg: RunConfig) -> int:
     bracket = separability.sep_bracket(
         h, restarts=cfg.restarts, seed=cfg.seed, gap_tol=cfg.sdp_tol
     )
-    grid = np.geomspace(args.t_min, args.t_max, args.n_grid)
-    curve = thermo.thermal_curve(h, grid)
-    w = np.linalg.eigvalsh(h.matrix)
+    # a flag the grid cannot hold gives inf or nan there, which the curve
+    # refuses by value
+    with np.errstate(invalid="ignore"):
+        grid = np.geomspace(args.t_min, args.t_max, args.n_grid)
+    spec = eig(h)
+    curve = thermo.thermal_curve(spec, grid)
+    w = spec.eigenvalues
     t_gap = thermo.entanglement_gap_temperature(w, bracket.upper, tol=cfg.bisect_tol)
-    t_scaled = None if t_gap is None else t_gap / float(w.max() - w.min())
+    t_scaled = None if t_gap is None else t_gap / (spec.e_max - spec.e0)
     t_lower = thermo.entanglement_gap_temperature(w, bracket.lower, tol=cfg.bisect_tol)
     rows = [{"T": t, "U": u, "ppt": int(p)} for (t, u, p) in curve.samples]
     payload = {
@@ -162,7 +166,7 @@ def cmd_window(args, cfg: RunConfig) -> int:
     else:
         e_sep = args.e_sep
     window = thermo.bound_entanglement_window(
-        h,
+        eig(h),
         e_sep,
         t_min=args.t_min,
         t_max=args.t_max,

@@ -36,6 +36,9 @@ class LatticeSpec:
     bonds: tuple
 
     def __post_init__(self):
+        for name in ("n_sites", "local_dim"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         seen = set()
         for (i, j) in self.bonds:
             if not (0 <= i < self.n_sites and 0 <= j < self.n_sites):

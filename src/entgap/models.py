@@ -214,7 +214,8 @@ def parse_identifier(text: str, table: dict, *tail):
     """Build what a CLI identifier names: ``table[name]`` is (form, builder,
     parameter types); the builder gets the converted parameters, then ``tail``.
     A ``file:`` path is one parameter, colons and all.  An unknown name, or
-    parameters that do not fit the form, raise ValueError before any build."""
+    parameters that do not fit the form or are not finite, raise ValueError
+    before any build."""
     name, colon, rest = text.partition(":")
     params = [rest] if name == "file" and colon else text.split(":")[1:]
     if name not in table:
@@ -225,6 +226,8 @@ def parse_identifier(text: str, table: dict, *tail):
         args = [kind(p) for kind, p in zip(types, params, strict=True)]
     except ValueError:
         raise ValueError(f"identifier {text!r} needs the form {form}") from None
+    if not np.isfinite([a for a in args if isinstance(a, float)]).all():
+        raise ValueError(f"identifier {text!r} needs finite numbers in the form {form}")
     return build(*args, *tail)
 
 

@@ -57,8 +57,10 @@ class HermitianOperator:
         side = int(np.prod(dims))
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix is not finite and Hermitian (non-finite entry)")
         asym = np.max(np.abs(m - m.conj().T)) if side else 0.0
-        if not asym <= HERMITICITY_TOL:
+        if asym > HERMITICITY_TOL:
             raise ValueError(f"matrix is not finite and Hermitian (asymmetry {asym:.3e})")
         m = (m + m.conj().T) / 2
         m.flags.writeable = False
@@ -112,11 +114,12 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition, eigenvalues ascending."""
+    """Full eigendecomposition (eigenvalues ascending) of an operator on ``dims``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     ground_degeneracy: int
+    dims: tuple
 
     @property
     def e0(self) -> float:
@@ -204,7 +207,7 @@ def eig(m: HermitianOperator) -> Spectrum:
         )
     w, v = np.linalg.eigh(m.matrix)
     g = int(np.count_nonzero(w <= w[0] + DEGENERACY_TOL))
-    return Spectrum(eigenvalues=w, eigenvectors=v, ground_degeneracy=g)
+    return Spectrum(eigenvalues=w, eigenvectors=v, ground_degeneracy=g, dims=m.dims)
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,7 @@ alone.  Monotonicity of U(T) makes every crossing a bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .models import (
     max_entangled_projector_hamiltonian,
     symmetric_projector_hamiltonian,
 )
-from .operators import HermitianOperator, eig, partial_transpose_matrix
+from .operators import HermitianOperator, Spectrum, eig, partial_transpose_matrix
 # ppt_lower stays importable from this module, where perfbench's tracer
 # tests look for it; the comparison reaches it through sep_bracket
 from .separability import ppt_lower, sep_bracket  # noqa: F401
@@ -41,22 +42,12 @@ class ThermalCurve:
             raise ValueError("thermal energy must be non-decreasing in T")
 
 
-def thermal_energy(h, temperature: float) -> float:
-    """U(T) = tr[H exp(-H/T)] / tr[exp(-H/T)], computed from the spectrum
-    with the usual max-shift for stability."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    w = _eigenvalues(h)
-    return _thermal_energy_from_levels(w, temperature)
-
-
-def _eigenvalues(h) -> np.ndarray:
-    if isinstance(h, HermitianOperator):
-        return np.linalg.eigvalsh(h.matrix)
-    return np.asarray(h, dtype=float)
-
-
-def _thermal_energy_from_levels(w: np.ndarray, temperature: float) -> float:
+def thermal_energy(levels, temperature: float) -> float:
+    """U(T) = sum_i E_i exp(-E_i/T) / sum_i exp(-E_i/T) over the energy
+    levels, with the usual max-shift for stability."""
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    w = np.asarray(levels, dtype=float)
     beta = 1.0 / temperature
     x = -beta * (w - w.min())
     weights = np.exp(x)
@@ -64,48 +55,44 @@ def _thermal_energy_from_levels(w: np.ndarray, temperature: float) -> float:
     return float((w * weights).sum() / z)
 
 
-def gibbs_state(h: HermitianOperator, temperature: float) -> HermitianOperator:
+def gibbs_state(spec: Spectrum, temperature: float) -> HermitianOperator:
     """Normalized thermal density matrix at the given temperature."""
-    return _gibbs_from_spectrum(eig(h), h.dims, temperature)
-
-
-def _gibbs_from_spectrum(spec, dims, temperature: float) -> HermitianOperator:
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     w = spec.eigenvalues
     weights = np.exp(-(w - w.min()) / temperature)
     weights /= weights.sum()
     rho = (spec.eigenvectors * weights) @ spec.eigenvectors.conj().T
-    return HermitianOperator(rho, dims)
+    return HermitianOperator(rho, spec.dims)
 
 
 def entanglement_gap_temperature(
-    h, e_sep: float, tol: float = 1e-10
+    levels, e_sep: float, tol: float = 1e-10
 ) -> float | None:
-    """Temperature at which the thermal energy equals ``e_sep``.
+    """Temperature at which the thermal energy of ``levels`` equals ``e_sep``.
 
     Returns None when no finite solution exists, i.e. when e_sep does
     not lie strictly between the ground energy and the infinite-T mean.
     Bisection under monotonicity; the result satisfies
     |U(T) - e_sep| <= tol.
     """
-    w = _eigenvalues(h)
+    w = np.asarray(levels, dtype=float)
     e0, mean = float(w.min()), float(w.mean())
     if not (e0 < e_sep < mean):
         return None
 
     t_lo, t_hi = 1e-6, 1.0
     for _ in range(BISECT_CAP):
-        if _thermal_energy_from_levels(w, t_lo) < e_sep:
+        if thermal_energy(w, t_lo) < e_sep:
             break
         t_lo /= 2
     for _ in range(BISECT_CAP):
-        if _thermal_energy_from_levels(w, t_hi) > e_sep:
+        if thermal_energy(w, t_hi) > e_sep:
             break
         t_hi *= 2
     for _ in range(BISECT_CAP):
         t_mid = 0.5 * (t_lo + t_hi)
-        u = _thermal_energy_from_levels(w, t_mid)
+        u = thermal_energy(w, t_mid)
         if abs(u - e_sep) <= tol:
             return t_mid
         if u < e_sep:
@@ -129,48 +116,36 @@ def bisect_bool(pred, x_false: float, x_true: float, tol: float) -> float:
     return x_true
 
 
-def scaled_gap_temperature(h, e_sep: float, tol: float = 1e-10) -> float | None:
+def scaled_gap_temperature(levels, e_sep: float, tol: float = 1e-10) -> float | None:
     """Gap temperature divided by the total spectral range."""
-    w = _eigenvalues(h)
+    w = np.asarray(levels, dtype=float)
     t = entanglement_gap_temperature(w, e_sep, tol=tol)
-    if t is None:
-        return None
-    e_tot = float(w.max() - w.min())
-    return t / e_tot
+    return None if t is None else t / float(w.max() - w.min())
 
 
-def is_gibbs_ppt(h: HermitianOperator, temperature: float) -> bool:
+def is_gibbs_ppt(spec: Spectrum, temperature: float) -> bool:
     """Whether the thermal state has a positive partial transpose across
     the cut between the first factor and the rest."""
-    return _gibbs_ppt_test(h)(temperature)
+    rho = gibbs_state(spec, temperature).matrix
+    da = spec.dims[0]
+    pt = partial_transpose_matrix(rho, da, rho.shape[0] // da)
+    return float(np.linalg.eigvalsh(pt)[0]) >= PPT_FLAG_TOL
 
 
-def _gibbs_ppt_test(h: HermitianOperator):
-    """``is_gibbs_ppt`` at any temperature, from one eigendecomposition."""
-    spec = eig(h)
-    da = h.dims[0]
-
-    def is_ppt(temperature: float) -> bool:
-        rho = _gibbs_from_spectrum(spec, h.dims, temperature)
-        pt = partial_transpose_matrix(rho.matrix, da, h.dim // da)
-        return float(np.linalg.eigvalsh(pt)[0]) >= PPT_FLAG_TOL
-
-    return is_ppt
-
-
-def thermal_curve(h: HermitianOperator, temperatures) -> ThermalCurve:
-    """Sample (T, U, ppt) on the given grid."""
-    w = np.linalg.eigvalsh(h.matrix)
-    is_ppt = _gibbs_ppt_test(h)
+def thermal_curve(spec: Spectrum, temperatures) -> ThermalCurve:
+    """Sample (T, U, ppt) on the given grid of finite positive temperatures."""
+    temps = [float(t) for t in temperatures]
+    bad = [t for t in temps if not 0 < t < np.inf]
+    if bad:
+        raise ValueError(f"temperatures must be finite and positive, got {bad[0]}")
     samples = [
-        (float(t), _thermal_energy_from_levels(w, float(t)), is_ppt(float(t)))
-        for t in temperatures
+        (t, thermal_energy(spec.eigenvalues, t), is_gibbs_ppt(spec, t)) for t in temps
     ]
     return ThermalCurve(samples=tuple(samples))
 
 
 def bound_entanglement_window(
-    h: HermitianOperator,
+    spec: Spectrum,
     e_sep: float,
     t_min: float = 0.02,
     t_max: float = 3.0,
@@ -183,40 +158,35 @@ def bound_entanglement_window(
     Scans a log grid, takes the widest contiguous run, and refines both
     endpoints by boolean bisection to ``refine_tol``.  Returns
     (t_low, t_high), or None when the window is empty.  Raises
-    ValueError unless 0 < t_min < t_max and n_grid >= 2.
+    ValueError unless e_sep is finite, 0 < t_min < t_max (both finite),
+    n_grid >= 2 and refine_tol is finite and positive.
     """
-    if not (0 < t_min < t_max and n_grid >= 2):
+    if not np.isfinite(e_sep):
+        raise ValueError(f"e_sep must be finite, got {e_sep}")
+    if not 0 < refine_tol < np.inf:
+        raise ValueError(f"refine_tol must be finite and positive, got {refine_tol}")
+    if not (0 < t_min < t_max < np.inf and n_grid >= 2):
         raise ValueError(
-            f"window grid needs 0 < t_min < t_max and n_grid >= 2, got "
+            f"window grid needs finite 0 < t_min < t_max and n_grid >= 2, got "
             f"t_min={t_min}, t_max={t_max}, n_grid={n_grid}"
         )
-    w = np.linalg.eigvalsh(h.matrix)
-    is_ppt = _gibbs_ppt_test(h)
 
     def in_window(t: float) -> bool:
-        return _thermal_energy_from_levels(w, t) < e_sep and is_ppt(t)
+        return thermal_energy(spec.eigenvalues, t) < e_sep and is_gibbs_ppt(spec, t)
 
     grid = np.geomspace(t_min, t_max, n_grid)
     flags = [in_window(float(t)) for t in grid]
-    runs = []
-    start = None
-    for idx, flag in enumerate(flags):
-        if flag and start is None:
-            start = idx
-        if not flag and start is not None:
-            runs.append((start, idx - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags) - 1))
+    runs = [list(run) for flag, run in groupby(range(n_grid), flags.__getitem__) if flag]
     if not runs:
         return None
-    lo_idx, hi_idx = max(runs, key=lambda r: r[1] - r[0])
+    widest = max(runs, key=len)
+    lo_idx, hi_idx = widest[0], widest[-1]
 
     t_low = float(grid[lo_idx])
     if lo_idx > 0:
         t_low = bisect_bool(in_window, float(grid[lo_idx - 1]), t_low, refine_tol)
     t_high = float(grid[hi_idx])
-    if hi_idx < len(grid) - 1:
+    if hi_idx < n_grid - 1:
         t_high = bisect_bool(in_window, float(grid[hi_idx + 1]), t_high, refine_tol)
     return (t_low, t_high)
 
@@ -235,11 +205,12 @@ def temperature_comparison(
     """
     rows = []
     for d in dims:
-        h_me = max_entangled_projector_hamiltonian(d)
-        h_s = symmetric_projector_hamiltonian(d)
+        w_me = eig(max_entangled_projector_hamiltonian(d)).eigenvalues
+        w_s = eig(symmetric_projector_hamiltonian(d)).eigenvalues
         h_ces = ces_hamiltonian(d)
-        t_me = scaled_gap_temperature(h_me, 1.0 - 1.0 / d)
-        t_s = scaled_gap_temperature(h_s, 0.5)
+        w_ces = eig(h_ces).eigenvalues
+        t_me = scaled_gap_temperature(w_me, 1.0 - 1.0 / d)
+        t_s = scaled_gap_temperature(w_s, 0.5)
         ces = sep_bracket(h_ces, seed=seed + d, gap_tol=gap_tol)
         rows.append(
             {
@@ -250,8 +221,8 @@ def temperature_comparison(
                 "t_symproj_closed": 1.0 / np.log((d + 1.0) / (d - 1.0)),
                 "ces_e_sep_bracket": [ces.lower, ces.upper],
                 "t_ces_bracket": [
-                    scaled_gap_temperature(h_ces, ces.lower),
-                    scaled_gap_temperature(h_ces, ces.upper),
+                    scaled_gap_temperature(w_ces, ces.lower),
+                    scaled_gap_temperature(w_ces, ces.upper),
                 ],
             }
         )

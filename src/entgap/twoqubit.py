@@ -22,7 +22,7 @@ from .sdp import solve_ppt_sdp_batch
 # ppt_lower stays importable from this module, where perfbench's tracer
 # tests look for it; the search itself calls the batched solver
 from .separability import ppt_lower, seesaw_upper  # noqa: F401
-from .thermo import _thermal_energy_from_levels, bisect_bool, entanglement_gap_temperature
+from .thermo import bisect_bool, entanglement_gap_temperature, thermal_energy
 
 AFM_SCALED_T = 1.0 / np.log(3.0)
 ZERO_GAP_TOL = 1e-9
@@ -49,12 +49,6 @@ def family_hamiltonian(e1: float, e2: float, basis: np.ndarray) -> HermitianOper
         raise ValueError("eigenbasis must be unitary")
     m = (basis * np.array([0.0, e1, e2, 1.0])) @ basis.conj().T
     return HermitianOperator(m, (2, 2))
-
-
-def family_thermal_temperature(e1: float, e2: float, e_sep: float):
-    """Gap temperature for the {0, e1, e2, 1} spectrum (E_tot = 1, so the
-    scaled and bare temperatures coincide)."""
-    return entanglement_gap_temperature(np.array([0.0, e1, e2, 1.0]), e_sep)
 
 
 def takagi2(m: np.ndarray):
@@ -123,7 +117,7 @@ def e2_bounds(e1: float, tol: float = 1e-10):
         raise ValueError("e1 must lie in (1/4, 1]")
 
     def u_thermal(e2):
-        return _thermal_energy_from_levels(np.array([0.0, e1, e2, 1.0]), AFM_SCALED_T)
+        return thermal_energy(np.array([0.0, e1, e2, 1.0]), AFM_SCALED_T)
 
     def root(f):
         """Root of an increasing f on [e1, 1], clamped at the ends."""
@@ -211,7 +205,8 @@ def _search_chunk(args):
         if e_sep <= ZERO_GAP_TOL:
             skipped += 1
             continue
-        t = family_thermal_temperature(e1, e2, e_sep)
+        # E_tot = 1, so the scaled and bare gap temperatures coincide
+        t = entanglement_gap_temperature(np.array([0.0, e1, e2, 1.0]), e_sep)
         if t is not None and t > max_t:
             max_t = t
             arg = (

@@ -44,9 +44,8 @@ def _report(criterion: int, ok: bool, detail: str, elapsed: float):
 def test_criterion_1_heisenberg_afm():
     t0 = time.time()
     rep = entanglement_gap(heisenberg_pair(), restarts=16, seed=0)
-    t_e = scaled_gap_temperature(
-        HermitianOperator((heisenberg_pair().matrix + 3 * np.eye(4)) / 4, (2, 2)), 0.5
-    )
+    scaled_afm = HermitianOperator((heisenberg_pair().matrix + 3 * np.eye(4)) / 4, (2, 2))
+    t_e = scaled_gap_temperature(eig(scaled_afm).eigenvalues, 0.5)
     elapsed = time.time() - t0
     ok = (
         abs(rep.e0 + 3.0) < 1e-9
@@ -72,7 +71,7 @@ def test_criterion_2_maximal_gap_family():
     for d in range(2, 7):
         h = max_entangled_projector_hamiltonian(d)
         rep = entanglement_gap(h, restarts=12, seed=0)
-        t_e = scaled_gap_temperature(h, 1 - 1 / d)
+        t_e = scaled_gap_temperature(eig(h).eigenvalues, 1 - 1 / d)
         ok &= abs(rep.scaled_gap_upper - (1 - 1 / d)) < 1e-6
         ok &= abs(t_e - 1 / np.log(d + 1)) < 1e-6
         if d in (2, 3):
@@ -90,11 +89,11 @@ def test_criterion_3_symmetric_projector():
     for d in range(2, 7):
         h = symmetric_projector_hamiltonian(d)
         e_sep, _ = seesaw_upper(h, restarts=16, seed=0)
-        t_e = scaled_gap_temperature(h, 0.5)
+        t_e = scaled_gap_temperature(eig(h).eigenvalues, 0.5)
         ok &= abs(e_sep - 0.5) < 1e-8
         ok &= abs(t_e - 1 / np.log((d + 1) / (d - 1))) < 1e-6
         details.append(f"d={d}: E_sep={e_sep:.9f} t={t_e:.6f}")
-    t10 = scaled_gap_temperature(symmetric_projector_hamiltonian(10), 0.5)
+    t10 = scaled_gap_temperature(eig(symmetric_projector_hamiltonian(10)).eigenvalues, 0.5)
     ok &= 4.9 <= t10 <= 5.1
     details.append(f"d=10: t={t10:.4f}")
     elapsed = time.time() - t0
@@ -166,7 +165,7 @@ def test_criterion_6_choi():
     h = choi_hamiltonian()
     lo, res = ppt_lower(h)
     up, _ = seesaw_upper(h, restarts=64, seed=0)
-    window = bound_entanglement_window(h, 0.0, t_min=0.8, t_max=1.8)
+    window = bound_entanglement_window(eig(h), 0.0, t_min=0.8, t_max=1.8)
     elapsed = time.time() - t0
     expected = (3 - 2 * np.sqrt(3)) / 3
     ok = (
@@ -306,14 +305,14 @@ def test_criterion_9_property_suites():
     notes.append("seesaw monotone")
     # U(T) monotone on a random spectrum; limits on a gapped one, where
     # the error exp(-Delta/T) resp. Var/T is actually controlled
-    from entgap.thermo import _thermal_energy_from_levels
+    from entgap.thermo import thermal_energy
     w = np.sort(rng.uniform(-2, 2, 8))
     grid = np.geomspace(0.01, 100, 50)
-    us = [_thermal_energy_from_levels(w, t) for t in grid]
+    us = [thermal_energy(w, t) for t in grid]
     ok &= all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
     w_gapped = np.array([0.0, 1.0, 1.0, 1.0])
-    ok &= abs(_thermal_energy_from_levels(w_gapped, 1 / 50) - 0.0) < 1e-8
-    ok &= abs(_thermal_energy_from_levels(w_gapped, 1e8) - 0.75) < 1e-7
+    ok &= abs(thermal_energy(w_gapped, 1 / 50) - 0.0) < 1e-8
+    ok &= abs(thermal_energy(w_gapped, 1e8) - 0.75) < 1e-7
     from entgap.operators import partial_transpose_matrix
     h6 = random_hermitian(6, rng)
     ok &= np.max(np.abs(partial_transpose_matrix(partial_transpose_matrix(h6, 2, 3), 2, 3) - h6)) < 1e-12

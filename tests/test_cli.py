@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -142,15 +143,21 @@ CHAIN_3 = {"n_sites": 3, "local_dim": 2, "bonds": [[0, 1], [1, 2]]}
 @pytest.mark.parametrize("command", ["gap", "window"])
 @pytest.mark.parametrize("model", ["file:nan", "file:inf", "xy:nan:0.5", "xxz:inf"])
 def test_non_finite_operator_exits_2(command, model, tmp_path, capsys):
+    # an identifier is refused as it is parsed, a matrix as it is built
+    expected = "needs finite numbers"
     if model.startswith("file:"):
         # json writes the entry as NaN or Infinity, which json reads back
         rows = [[[*pair] for pair in row] for row in HEISENBERG_ROWS]
         rows[1][1][0] = float(model[5:])
         (tmp_path / "model.json").write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
         model = f"file:{tmp_path / 'model.json'}"
-    code, out, err = run_cli(capsys, command, "--model", model, "--json")
+        expected = "not finite and Hermitian"
+    # refused before any arithmetic on the non-finite entry can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--model", model, "--json")
     assert code == 2 and out == ""
-    assert "not finite and Hermitian" in err
+    assert expected in err
 
 
 @pytest.mark.parametrize("model,lattice,field", [
@@ -162,6 +169,9 @@ def test_non_finite_operator_exits_2(command, model, tmp_path, capsys):
     ({"dims": [2.7, 2], "matrix": HEISENBERG_ROWS}, None, "dims"),
     (None, CHAIN_3 | {"n_sites": 3.9}, "n_sites"),
     (None, CHAIN_3 | {"local_dim": 2.5}, "local_dim"),
+    (None, {"n_sites": -1, "local_dim": 2, "bonds": []}, "n_sites must be >= 2"),
+    (None, {"n_sites": 0, "local_dim": 2, "bonds": []}, "n_sites must be >= 2"),
+    (None, CHAIN_3 | {"local_dim": 1}, "local_dim must be >= 2"),
     (None, CHAIN_3 | {"bonds": [[0, 1], [1, "2"]]}, "bond endpoint"),
     (None, CHAIN_3 | {"bonds": [[0, 1], [1, 1.5]]}, "bond endpoint"),
     (None, [CHAIN_3], "object with n_sites, local_dim and bonds"),
@@ -169,8 +179,9 @@ def test_non_finite_operator_exits_2(command, model, tmp_path, capsys):
     (None, {"n_sites": 3, "local_dim": 2}, "object with n_sites, local_dim and bonds"),
     (None, {"local_dim": 2, "bonds": [[0, 1]]}, "object with n_sites, local_dim and bonds"),
 ], ids=["plain-numbers", "string-entry", "ragged-rows", "fractional-dims", "fractional-n-sites",
-        "fractional-local-dim", "string-endpoint", "fractional-endpoint", "top-level-list",
-        "bonds-not-a-list", "missing-bonds", "missing-n-sites"])
+        "fractional-local-dim", "negative-n-sites", "zero-n-sites", "one-level-sites",
+        "string-endpoint", "fractional-endpoint", "top-level-list", "bonds-not-a-list",
+        "missing-bonds", "missing-n-sites"])
 def test_malformed_file_input_exits_2_and_names_the_field(model, lattice, field, tmp_path,
                                                           capsys):
     argv = ["gap", "--model", "heisenberg", "--json"]
@@ -358,13 +369,73 @@ def test_removed_dense_cutoff_config_key_exits_2(tmp_path, capsys):
     ["--t-min", "0", "--t-max", "3.0"],
     ["--n-grid", "0"],
     ["--n-grid", "1"],
-], ids=["reversed", "empty", "zero", "no-points", "one-point"])
+    ["--t-max", "inf"],
+    ["--t-min", "nan"],
+], ids=["reversed", "empty", "zero", "no-points", "one-point", "infinite", "nan"])
 def test_window_refuses_a_degenerate_grid(grid, capsys):
     code, out, err = run_cli(
         capsys, "window", "--model", "choi", "--e-sep", "0.05", *grid, "--json"
     )
     assert code == 2 and out == ""
     assert "t_min < t_max" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["window", "--e-sep", "nan"], "e_sep must be finite, got nan"),
+    (["window", "--e-sep", "inf"], "e_sep must be finite, got inf"),
+    (["window", "--e-sep", "0.05", "--refine-tol", "0"],
+     "refine_tol must be finite and positive, got 0.0"),
+    (["window", "--e-sep", "0.05", "--refine-tol", "nan"],
+     "refine_tol must be finite and positive, got nan"),
+    (["temp", "--t-min", "nan"], "temperatures must be finite and positive, got nan"),
+    (["temp", "--t-max", "inf"], "temperatures must be finite and positive, got inf"),
+    (["temp", "--t-min", "-1"], "temperatures must be finite and positive, got -1.0"),
+], ids=["window-e-sep-nan", "window-e-sep-inf", "window-refine-tol-zero",
+        "window-refine-tol-nan", "temp-t-min-nan", "temp-t-max-inf", "temp-t-min-negative"])
+def test_thermal_flag_out_of_range_exits_2_and_names_the_value(argv, message, capsys):
+    command, *flags = argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--model", "choi", "--restarts", "4", *flags,
+                                 "--json")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,models", [
+    (["temp", "--model", "choi", "--restarts", "4"], ["choi"]),
+    (["window", "--model", "choi", "--restarts", "4"], ["choi"]),
+    (["compare-temps", "--dims", "3"], ["maxent:3", "symproj:3", "ces:3"]),
+], ids=["temp", "window", "compare-temps"])
+def test_thermal_commands_decompose_each_hamiltonian_once(argv, models, monkeypatch, capsys):
+    """Every dense decomposition the command makes of one of its
+    Hamiltonians, through ``eig`` or ``np.linalg.eigvalsh``, is counted
+    by matching the decomposed matrix against the Hamiltonian's."""
+    from entgap import cli, operators, thermo
+    from entgap.models import from_identifier
+
+    matrices = [from_identifier(m).matrix for m in models]
+    counts = [0] * len(models)
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def count(a):
+        for i, m in enumerate(matrices):
+            counts[i] += np.shape(a) == m.shape and np.array_equal(a, m)
+
+    def counting_eig(op):
+        count(op.matrix)
+        return operators.eig(op)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        count(a)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for module in (cli, thermo):
+        monkeypatch.setattr(module, "eig", counting_eig, raising=False)
+    code, _, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert counts == [1] * len(models)
 
 
 def test_window_csv_row(capsys):
@@ -451,6 +522,7 @@ def test_pretty_ends_with_the_json_line(argv, capsys):
 
 def test_temp_bisect_tol_sets_both_gap_temperatures(capsys):
     from entgap.models import heisenberg_pair
+    from entgap.operators import eig
     from entgap.thermo import entanglement_gap_temperature, scaled_gap_temperature
 
     code, out, _ = run_cli(
@@ -458,10 +530,10 @@ def test_temp_bisect_tol_sets_both_gap_temperatures(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    h, e_sep = heisenberg_pair(), payload["e_sep_upper"]
-    assert payload["t_gap"] == entanglement_gap_temperature(h, e_sep, tol=0.05)
-    assert payload["t_gap_scaled"] == scaled_gap_temperature(h, e_sep, tol=0.05)
-    assert payload["t_gap"] != entanglement_gap_temperature(h, e_sep)
+    w, e_sep = eig(heisenberg_pair()).eigenvalues, payload["e_sep_upper"]
+    assert payload["t_gap"] == entanglement_gap_temperature(w, e_sep, tol=0.05)
+    assert payload["t_gap_scaled"] == scaled_gap_temperature(w, e_sep, tol=0.05)
+    assert payload["t_gap"] != entanglement_gap_temperature(w, e_sep)
 
 
 def test_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from entgap import twoqubit
 from entgap.models import singlet
 from entgap.separability import ppt_lower
+from entgap.thermo import entanglement_gap_temperature
 from entgap.twoqubit import (
     AFM_SCALED_T,
     SEARCH_BLOCK,
@@ -11,7 +12,6 @@ from entgap.twoqubit import (
     afm_reference_temperature,
     e2_bounds,
     family_hamiltonian,
-    family_thermal_temperature,
     random_search,
     schmidt_plus_minus_product,
     takagi2,
@@ -94,7 +94,7 @@ def test_lemma_low_separable_energy_caps_temperature():
         x = np.exp(-w / AFM_SCALED_T)
         u_at_threshold = float((w * x).sum() / x.sum())
         e_sep, _ = ppt_lower(h)
-        t = family_thermal_temperature(e1, e2, e_sep)
+        t = entanglement_gap_temperature(np.array([0.0, e1, e2, 1.0]), e_sep)
         psi1 = schmidt_plus_minus_product(basis[:, 1])
         if h.expectation(psi1) <= u_at_threshold and t is not None:
             assert t <= AFM_SCALED_T + 1e-8
@@ -111,7 +111,7 @@ def test_low_first_level_caps_temperature():
         e_sep, _ = ppt_lower(h)
         if e_sep <= 1e-9:
             continue
-        t = family_thermal_temperature(e1, e2, e_sep)
+        t = entanglement_gap_temperature(np.array([0.0, e1, e2, 1.0]), e_sep)
         if t is not None:
             assert t <= AFM_SCALED_T + 1e-8
 
@@ -122,7 +122,7 @@ def test_boundary_family_is_the_antiferromagnet():
     h = family_hamiltonian(1.0, 1.0, basis)
     e_sep, _ = ppt_lower(h)
     assert e_sep == pytest.approx(0.5, abs=1e-7)
-    t = family_thermal_temperature(1.0, 1.0, e_sep)
+    t = entanglement_gap_temperature(np.array([0.0, 1.0, 1.0, 1.0]), e_sep)
     assert t == pytest.approx(AFM_SCALED_T, abs=1e-6)
 
 
