@@ -119,6 +119,39 @@ def test_thermal_curve_invariants_and_flags():
         ThermalCurve(samples=((1.0, 0.5, True), (2.0, 0.1, True)))
 
 
+def test_curve_and_window_eigendecompose_once(monkeypatch):
+    """One ``eig`` of the Hamiltonian feeds both the curve and the window:
+    neither decomposes the Hamiltonian again, through ``eig`` or
+    ``np.linalg.eigvalsh``."""
+    import entgap.thermo as thermo
+
+    h = choi_hamiltonian()
+    calls = []
+    real_eig = thermo.eig
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eig(op):
+        calls.append("eig")
+        return real_eig(op)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        if np.shape(a) == h.matrix.shape and np.array_equal(a, h.matrix):
+            calls.append("eigvalsh")
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(thermo, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    spec = thermo.eig(h)
+    assert calls == ["eig"]
+    calls.clear()
+    temps = np.geomspace(0.5, 2.0, 9)
+    curve = thermal_curve(spec, temps)
+    assert calls == []
+    assert [s[2] for s in curve.samples] == [is_gibbs_ppt(spec, t) for t in temps]
+    assert bound_entanglement_window(spec, 0.0, t_min=0.5, t_max=2.0) is not None
+    assert calls == []
+
+
 def test_afm_gap_temperature_scaled():
     # scaled AFM has spectrum {0,1,1,1} and e_sep 1/2
     h = HermitianOperator((heisenberg_pair().matrix + 3 * np.eye(4)) / 4, (2, 2))
