@@ -8,7 +8,13 @@ energies come from small-cluster diagonalization, ring extrapolation
 (1D chain), or shipped literature values for 2D/3D lattices.
 """
 
-from entgap import chain_energy_extrapolation, cluster_sep_energy, heisenberg_pair
+from entgap import (
+    LatticeSpec,
+    assemble,
+    chain_energy_extrapolation,
+    heisenberg_pair,
+    seesaw_upper,
+)
 from entgap.tables import table2_report
 
 print("=" * 76)
@@ -16,7 +22,9 @@ print("Cluster separable optima (per bond)")
 print("=" * 76)
 h = heisenberg_pair()
 for n, label in ((2, "single bond"), (3, "triangle"), (4, "tetrahedron")):
-    per_bond = cluster_sep_energy(n, h, restarts=32, seed=0)
+    spec = LatticeSpec.complete(n)
+    energy, _ = seesaw_upper(assemble(spec, h).dense, restarts=32, seed=0)
+    per_bond = energy / len(spec.bonds)
     print(f"  {label:<14} n={n}:  E_sep/bond = {per_bond:+.9f}   (expect -1/{n - 1})")
 
 print()

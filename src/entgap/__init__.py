@@ -41,9 +41,7 @@ from .separability import (
     GapReport,
     ProductState,
     SepBracket,
-    bipartite_lattice_sep_energy,
     build_witness,
-    cluster_sep_energy,
     entanglement_gap,
     geometric_overlap,
     ppt_lower,

@@ -92,7 +92,7 @@ def _emit(cfg: RunConfig, payload: dict, rows: list[dict], pretty_lines=()):
 
 def _sdp_exit_code(bracket: separability.SepBracket) -> int:
     """0 when the PPT solve behind the bracket converged, else 3."""
-    return 0 if bracket.certificate.get("sdp_converged", True) else 3
+    return 0 if bracket.ppt.converged else 3
 
 
 def cmd_gap(args, cfg: RunConfig) -> int:
@@ -127,6 +127,8 @@ def cmd_gap(args, cfg: RunConfig) -> int:
 
 
 def cmd_temp(args, cfg: RunConfig) -> int:
+    if args.n_grid < 1:
+        raise ValueError(f"--n-grid must be >= 1, got {args.n_grid}")
     h = models.from_identifier(args.model)
     bracket = separability.sep_bracket(
         h, restarts=cfg.restarts, seed=cfg.seed, gap_tol=cfg.sdp_tol

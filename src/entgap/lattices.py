@@ -122,28 +122,6 @@ class LatticeSpec:
             bonds=tuple(bonds),
         )
 
-    def bipartition_coloring(self):
-        """Two-coloring by graph search, site 0 colored 0; raises on odd cycles."""
-        colors = [-1] * self.n_sites
-        adj = [[] for _ in range(self.n_sites)]
-        for (i, j) in self.bonds:
-            adj[i].append(j)
-            adj[j].append(i)
-        for start in range(self.n_sites):
-            if colors[start] != -1:
-                continue
-            colors[start] = 0
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for v in adj[u]:
-                    if colors[v] == -1:
-                        colors[v] = 1 - colors[u]
-                        queue.append(v)
-                    elif colors[v] == colors[u]:
-                        raise ValueError("lattice is not bipartite")
-        return tuple(colors)
-
 
 # name -> (form, builder, parameter types), read by ``models.parse_identifier``
 LATTICES = {

@@ -10,11 +10,10 @@ in general the gap between them is where bound entanglement lives.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import LatticeSpec, assemble
 from .operators import HermitianOperator, eig, random_state_vector
 from .sdp import PPTResult, solve_ppt_sdp
 
@@ -51,7 +50,7 @@ class SepBracket:
     lower: float                    # PPT-certified
     upper: float                    # exactly evaluated product energy
     witness_state: ProductState
-    certificate: dict = field(default_factory=dict)
+    ppt: PPTResult                  # the solve behind ``lower``
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-7:
@@ -209,17 +208,7 @@ def sep_bracket(
     upper, state = seesaw_upper(h, restarts=restarts, seed=seed)
     # a certified lower bound can only exceed the exact product energy
     # through solver failure; surface that instead of silently clipping
-    return SepBracket(
-        lower=lower,
-        upper=upper,
-        witness_state=state,
-        certificate={
-            "sdp_converged": res.converged,
-            "sdp_gap": res.gap,
-            "sdp_iterations": res.iterations,
-            **res.residuals,
-        },
-    )
+    return SepBracket(lower=lower, upper=upper, witness_state=state, ppt=res)
 
 
 def entanglement_gap(
@@ -251,57 +240,6 @@ def entanglement_gap(
         scaled_gap_upper=gap_hi / e_tot if e_tot > 0 else 0.0,
         witness_offset=sep.upper,
     )
-
-
-def bipartite_lattice_sep_energy(
-    lattice, coupling: HermitianOperator, restarts: int = 64, seed: int = 0
-):
-    """Minimum separable energy per bond on a bipartite graph.
-
-    A minimum-energy pair state |A>|B> tiles the whole graph (|A> on one
-    color, |B> on the other), and no global separable state can do
-    better because some bond marginal would have to beat the pair
-    optimum.  Returns (per-bond energy, global product state).
-    """
-    coloring = lattice.bipartition_coloring()
-    per_bond, pair = seesaw_upper(coupling, restarts=restarts, seed=seed)
-    a, b = pair.locals
-    vecs = tuple(a if coloring[i] == 0 else b for i in range(lattice.n_sites))
-    state = ProductState(vecs)
-    total = 0.0
-    t = coupling.matrix.reshape(coupling.dims + coupling.dims)
-    for (i, j) in lattice.bonds:
-        vi, vj = vecs[i], vecs[j]
-        total += float(
-            np.real(
-                np.einsum("abcd,a,b,c,d->", t, vi.conj(), vj.conj(), vi, vj)
-            )
-        )
-    n_bonds = len(lattice.bonds)
-    if abs(total - n_bonds * per_bond) > 1e-9 * max(1.0, abs(total)):
-        raise RuntimeError(
-            "global product energy disagrees with per-bond tiling; "
-            "is the coupling swap-symmetric?"
-        )
-    return per_bond, state
-
-
-def cluster_sep_energy(
-    n: int, coupling: HermitianOperator, restarts: int = 64, seed: int = 0
-) -> float:
-    """Seesaw separable energy per bond of n spins coupled all-to-all.
-
-    This is the building block for lattices tiled by complete clusters
-    (triangles, tetrahedra): the cluster optimum extends to the lattice.
-    """
-    if n < 2:
-        raise ValueError("cluster needs n >= 2")
-    spec = LatticeSpec.complete(n, local_dim=coupling.dims[0])
-    assembled = assemble(spec, coupling)
-    if assembled.dense is None:
-        raise ValueError("cluster exceeds the dense cutoff")
-    energy, _ = seesaw_upper(assembled.dense, restarts=restarts, seed=seed)
-    return energy / len(spec.bonds)
 
 
 def geometric_overlap(psi: np.ndarray, dims: tuple[int, int]) -> float:

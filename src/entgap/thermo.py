@@ -74,7 +74,8 @@ def entanglement_gap_temperature(
     Returns None when no finite solution exists, i.e. when e_sep does
     not lie strictly between the ground energy and the infinite-T mean.
     Bisection under monotonicity; the result satisfies
-    |U(T) - e_sep| <= tol.
+    |U(T) - e_sep| <= tol unless the bracket first closes to adjacent
+    floats or takes BISECT_CAP halvings.
     """
     w = np.asarray(levels, dtype=float)
     e0, mean = float(w.min()), float(w.mean())
@@ -92,6 +93,9 @@ def entanglement_gap_temperature(
         t_hi *= 2
     for _ in range(BISECT_CAP):
         t_mid = 0.5 * (t_lo + t_hi)
+        # no float lies between the ends, so every further halving repeats this one
+        if t_mid in (t_lo, t_hi):
+            break
         u = thermal_energy(w, t_mid)
         if abs(u - e_sep) <= tol:
             return t_mid
@@ -103,12 +107,14 @@ def entanglement_gap_temperature(
 
 
 def bisect_bool(pred, x_false: float, x_true: float, tol: float) -> float:
-    """Halve [x_false, x_true] (either order) down to ``tol`` or BISECT_CAP
-    times, keeping ``pred`` False at one end; returns the end where it is True."""
+    """Halve [x_false, x_true] (either order) to ``tol``, adjacent floats or
+    BISECT_CAP times, keeping ``pred`` False at one end; returns its True end."""
     for _ in range(BISECT_CAP):
         if abs(x_true - x_false) <= tol:
             break
         mid = 0.5 * (x_true + x_false)
+        if mid in (x_true, x_false):
+            break
         if pred(mid):
             x_true = mid
         else:

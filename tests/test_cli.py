@@ -390,8 +390,10 @@ def test_window_refuses_a_degenerate_grid(grid, capsys):
     (["temp", "--t-min", "nan"], "temperatures must be finite and positive, got nan"),
     (["temp", "--t-max", "inf"], "temperatures must be finite and positive, got inf"),
     (["temp", "--t-min", "-1"], "temperatures must be finite and positive, got -1.0"),
+    (["temp", "--n-grid", "0"], "--n-grid must be >= 1, got 0"),
 ], ids=["window-e-sep-nan", "window-e-sep-inf", "window-refine-tol-zero",
-        "window-refine-tol-nan", "temp-t-min-nan", "temp-t-max-inf", "temp-t-min-negative"])
+        "window-refine-tol-nan", "temp-t-min-nan", "temp-t-max-inf", "temp-t-min-negative",
+        "temp-no-points"])
 def test_thermal_flag_out_of_range_exits_2_and_names_the_value(argv, message, capsys):
     command, *flags = argv
     with warnings.catch_warnings():

@@ -38,16 +38,6 @@ def test_lattice_validation():
         LatticeSpec(3, 2, ((0, 1), (1, 0)))
 
 
-def test_bipartition_coloring():
-    # the colorings star, ring and chain stored before they were derived
-    assert LatticeSpec.star(4).bipartition_coloring() == (0, 1, 1, 1, 1)
-    assert LatticeSpec.ring(6).bipartition_coloring() == (0, 1, 0, 1, 0, 1)
-    assert LatticeSpec.chain(5).bipartition_coloring() == (0, 1, 0, 1, 0)
-    for odd_cycle in (LatticeSpec.triangle(), LatticeSpec.ring(5)):
-        with pytest.raises(ValueError):
-            odd_cycle.bipartition_coloring()
-
-
 def test_identifier_parsing(tmp_path):
     assert LatticeSpec.from_identifier("star:4") == LatticeSpec.star(4)
     assert LatticeSpec.from_identifier("ring:6").n_sites == 6

@@ -22,9 +22,7 @@ from entgap.separability import (
     ProductState,
     _contraction_plan,
     _effective_site_operator,
-    bipartite_lattice_sep_energy,
     build_witness,
-    cluster_sep_energy,
     entanglement_gap,
     geometric_overlap,
     ppt_lower,
@@ -184,40 +182,30 @@ def test_level_raising_operator_inequality():
             assert e_scaled <= e_lifted + 1e-10
 
 
-def test_bipartite_lattice_sep_energy_ring_and_star():
+def test_pair_optimum_tiles_ring_and_star():
+    """The pair optimum |A>|B>, A on one colour of a bipartite graph and B
+    on the other, reaches the pair energy on every bond of the
+    swap-symmetric Heisenberg coupling."""
     h = heisenberg_pair()
-    ring4 = LatticeSpec.ring(4)
-    per_bond, state = bipartite_lattice_sep_energy(ring4, h, restarts=16, seed=0)
+    per_bond, pair = seesaw_upper(h, restarts=16, seed=0)
     assert per_bond == pytest.approx(-1.0, abs=1e-9)
-    asm = assemble(ring4, h)
-    assert asm.dense.expectation(state.vector()) == pytest.approx(-4.0, abs=1e-9)
-    star6 = LatticeSpec.star(6)
-    per_bond6, state6 = bipartite_lattice_sep_energy(star6, h, restarts=16, seed=0)
-    asm6 = assemble(star6, h)
-    assert asm6.dense.expectation(state6.vector()) == pytest.approx(-6.0, abs=1e-9)
+    for spec, colours in (
+        (LatticeSpec.ring(4), (0, 1, 0, 1)),
+        (LatticeSpec.star(6), (0, 1, 1, 1, 1, 1, 1)),
+    ):
+        assert all(colours[i] != colours[j] for (i, j) in spec.bonds)
+        state = ProductState(tuple(pair.locals[c] for c in colours))
+        energy = assemble(spec, h).dense.expectation(state.vector())
+        assert energy == pytest.approx(-len(spec.bonds), abs=1e-9)
 
 
 def test_bipartite_lattice_xy_zero_gap_ring():
     spec = LatticeSpec.ring(6)
     coupling = xy_pair(1.0, 0.0)
-    per_bond, _ = bipartite_lattice_sep_energy(spec, coupling, restarts=16, seed=0)
+    per_bond, _ = seesaw_upper(coupling, restarts=16, seed=0)
     assert per_bond == pytest.approx(-1.0, abs=1e-9)
     e0 = eig(assemble(spec, coupling).dense).e0
     assert e0 / 6 == pytest.approx(per_bond, abs=1e-9)
-
-
-def test_bipartite_lattice_rejects_frustrated_graph():
-    with pytest.raises(ValueError):
-        bipartite_lattice_sep_energy(LatticeSpec.triangle(), heisenberg_pair())
-
-
-def test_cluster_sep_energy_values():
-    h = heisenberg_pair()
-    assert cluster_sep_energy(2, h, restarts=8, seed=0) == pytest.approx(-1.0, abs=1e-9)
-    assert cluster_sep_energy(3, h, restarts=16, seed=0) == pytest.approx(-0.5, abs=1e-9)
-    assert cluster_sep_energy(4, h, restarts=16, seed=0) == pytest.approx(-1 / 3, abs=1e-8)
-    with pytest.raises(ValueError):
-        cluster_sep_energy(1, h)
 
 
 def test_geometric_overlap():

@@ -1,7 +1,9 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from entgap import separability
+from entgap import lattices, tables
 from entgap.tables import (
     CLUSTERS,
     chain_energy_extrapolation,
@@ -67,6 +69,10 @@ def test_table2_matches_reference():
         assert r["gap_per_bond"] == pytest.approx(gap, abs=4e-3), name
         assert r["scaled_gap"] == pytest.approx(scaled, abs=2e-3), name
     assert meta["chain_fit"]["ring_sizes"] == [8, 10, 12, 14]
+    # the computed cluster optima, -1/(n-1) per bond of n spins all-to-all
+    assert by_name["single bond"]["e_sep_per_bond"] == pytest.approx(-1.0, abs=1e-9)
+    assert by_name["single triangle"]["e_sep_per_bond"] == pytest.approx(-0.5, abs=1e-9)
+    assert by_name["single tetrahedron"]["e_sep_per_bond"] == pytest.approx(-1 / 3, abs=1e-8)
 
 
 def test_table2_gap_decreases_with_coordination_within_families():
@@ -92,19 +98,32 @@ def test_star_rows_stay_above_lattice_rows():
 
 
 def test_each_separable_optimum_is_computed_once(monkeypatch):
-    calls = []
-    seesaw = separability.seesaw_upper
+    """One seesaw per separable optimum (one for Table 1, one per cluster
+    for Table 2), and Table 2 builds each cluster's dense matrix once for
+    both its spectrum and its seesaw."""
+    calls, dense_builds = [], []
+    seesaw = tables.seesaw_upper
+    dense = vars(lattices.AssembledLattice)["dense"]
 
     def counting(*args, **kwargs):
         calls.append(args)
         return seesaw(*args, **kwargs)
 
-    monkeypatch.setattr(separability, "seesaw_upper", counting)
+    def counting_dense(assembled):
+        dense_builds.append(assembled.spec.n_sites)
+        return dense.func(assembled)
+
+    counted_dense = cached_property(counting_dense)
+    counted_dense.__set_name__(lattices.AssembledLattice, "dense")
+    monkeypatch.setattr(tables, "seesaw_upper", counting)
+    monkeypatch.setattr(lattices.AssembledLattice, "dense", counted_dense)
     table1_report(restarts=4)
     assert len(calls) == 1
     calls.clear()
+    dense_builds.clear()
     rows, _ = table2_report(restarts=4)
     assert len(calls) == 3
+    assert dense_builds == [n for _, n, _ in CLUSTERS]
     by_name = {r["lattice"]: r for r in rows}
     for cluster, _, tiled in CLUSTERS:
         for name in tiled:

@@ -102,6 +102,35 @@ def test_gap_temperature_solves_defining_equation():
     assert abs(thermal_energy(w, t) - 0.0) <= 1e-10
 
 
+def test_bisections_stop_once_no_float_lies_between_the_ends(monkeypatch):
+    """Below the float spacing of T a halving cannot move either end, so
+    each bisection stops there instead of running to BISECT_CAP, and
+    returns the value the cap would.  A float64 bracket spanning a binade
+    or two closes to adjacent floats in about 53 halvings; the cap is 200."""
+    import entgap.thermo as thermo
+
+    calls = []
+    x = thermo.bisect_bool(lambda t: calls.append(t) or t > 1.0, 0.5, 2.0, 1e-300)
+    assert x == np.nextafter(1.0, 2.0)
+    assert len(calls) <= 64
+
+    spec = eig(choi_hamiltonian())
+    t_default = entanglement_gap_temperature(spec.eigenvalues, 0.0)
+    energy, ppt = thermo.thermal_energy, thermo.is_gibbs_ppt
+    monkeypatch.setattr(thermo, "thermal_energy", lambda w, t: calls.append(t) or energy(w, t))
+    calls.clear()
+    t = entanglement_gap_temperature(spec.eigenvalues, 0.0, tol=1e-300)
+    assert t == pytest.approx(t_default, abs=1e-9)
+    assert len(calls) <= 3 + 64  # three to bracket the crossing, then the halvings
+
+    monkeypatch.setattr(thermo, "thermal_energy", energy)
+    monkeypatch.setattr(thermo, "is_gibbs_ppt", lambda s, t: calls.append(t) or ppt(s, t))
+    calls.clear()
+    window = bound_entanglement_window(spec, 0.0, t_min=1.0, t_max=1.5, refine_tol=1e-300)
+    assert window == pytest.approx((1.256, 1.271), abs=0.01)
+    assert len(calls) <= 80 + 2 * 64  # the grid, then both refined ends
+
+
 def test_gap_temperature_no_finite_solution():
     w = eig(heisenberg_pair()).eigenvalues
     assert entanglement_gap_temperature(w, -3.0) is None  # zero gap

@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 from entgap.lattices import LatticeSpec, assemble
 from entgap.models import xy_pair
 from entgap.operators import eig
-from entgap.separability import bipartite_lattice_sep_energy
+from entgap.separability import seesaw_upper
 from entgap.xy import (
     dispersion,
     xy_chain_energy_extrema,
@@ -137,9 +137,7 @@ def test_gamma_one_slice_unimodal():
 
 def test_bipartite_reduction_consistency_ring8():
     g, l = 0.7, 0.9
-    per_bond, _ = bipartite_lattice_sep_energy(
-        LatticeSpec.ring(8), xy_pair(g, l), restarts=16, seed=0
-    )
+    per_bond, _ = seesaw_upper(xy_pair(g, l), restarts=16, seed=0)
     assert per_bond == pytest.approx(xy_sep_energy(g, l)[0], abs=1e-9)
 
 
