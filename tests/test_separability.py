@@ -208,6 +208,23 @@ def test_bipartite_lattice_xy_zero_gap_ring():
     assert e0 / 6 == pytest.approx(per_bond, abs=1e-9)
 
 
+def test_cluster_sep_energy_values():
+    """The seesaw optimum per bond of n spins coupled all-to-all, taken on
+    the assembled cluster as Table 2 takes it: -1/(n-1)."""
+    h = heisenberg_pair()
+
+    def per_bond(n, restarts):
+        spec = LatticeSpec.complete(n)
+        energy, _ = seesaw_upper(assemble(spec, h).dense, restarts=restarts, seed=0)
+        return energy / len(spec.bonds)
+
+    assert per_bond(2, 8) == pytest.approx(-1.0, abs=1e-9)
+    assert per_bond(3, 16) == pytest.approx(-0.5, abs=1e-9)
+    assert per_bond(4, 16) == pytest.approx(-1 / 3, abs=1e-8)
+    with pytest.raises(ValueError):
+        LatticeSpec.complete(1)
+
+
 def test_geometric_overlap():
     for d in (2, 3, 4):
         assert geometric_overlap(max_entangled_state(d), (d, d)) == pytest.approx(
