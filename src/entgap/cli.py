@@ -179,9 +179,12 @@ def cmd_window(args, cfg: RunConfig) -> int:
                "window": list(window) if window is not None else None}
     t_low, t_high = window if window is not None else (None, None)
     row = {"model": args.model, "e_sep_reference": e_sep, "t_low": t_low, "t_high": t_high}
+    ratio = (args.t_max / args.t_min) ** (1 / (args.n_grid - 1))
     _emit(cfg, payload, [row], [
-        "no bound-entanglement window found" if window is None
-        else f"window: [{t_low:.4f}, {t_high:.4f}]"
+        f"window: [{t_low:.4f}, {t_high:.4f}]" if window is not None else
+        f"no bound-entanglement window found on {args.n_grid} log-spaced points in "
+        f"[{args.t_min:g}, {args.t_max:g}] (ratio {ratio:.4f} between points); "
+        "a narrower window can fall between points"
     ])
     return 0
 

@@ -9,8 +9,8 @@ in general the gap between them is where bound entanglement lives.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -84,50 +84,14 @@ class GapReport:
         }
 
 
-def _contraction_plan(h_tensor, dims) -> list:
-    """Per site, the einsum that contracts H with every other factor and
-    its greedy contraction path.  Both depend only on the shapes, so a
-    seesaw call finds them once instead of once per step."""
-    k = len(dims)
-    letters = string.ascii_letters
-    bra, ket = letters[:k], letters[k : 2 * k]
-    plan = []
-    for site in range(k):
-        others = [j for j in range(k) if j != site]
-        subs = [bra + ket] + [c for j in others for c in (bra[j], ket[j])]
-        expr = ",".join(subs) + "->" + bra[site] + ket[site]
-        vecs = [np.empty(dims[j], dtype=complex) for j in others for _ in ("bra", "ket")]
-        path, _ = np.einsum_path(expr, h_tensor, *vecs, optimize="greedy")
-        plan.append((expr, path))
-    return plan
+@dataclass(frozen=True)
+class SeesawRun:
+    """What the restarts of one ``seesaw_upper`` call did."""
 
-
-def _effective_site_operator(h_tensor, plan, vecs, site):
-    """Contract H with every factor except ``site``; the result is the
-    single-site operator whose ground state is the optimal replacement."""
-    expr, path = plan[site]
-    operands = [h_tensor]
-    for j, v in enumerate(vecs):
-        if j != site:
-            operands += [v.conj(), v]
-    m = np.einsum(expr, *operands, optimize=path)
-    return (m + m.conj().T) / 2
-
-
-def _ground_factor(m: np.ndarray, previous: np.ndarray):
-    """Ground eigenvector of the effective operator; inside a degenerate
-    ground space take the direction closest to the previous iterate so
-    the sweep cannot oscillate."""
-    w, v = np.linalg.eigh(m)
-    g = int(np.count_nonzero(w <= w[0] + DEGENERATE_SPLIT))
-    if g == 1:
-        return v[:, 0], float(w[0])
-    block = v[:, :g]
-    proj = block @ (block.conj().T @ previous)
-    nrm = np.linalg.norm(proj)
-    if nrm > 1e-8:
-        return proj / nrm, float(w[0])
-    return v[:, 0], float(w[0])
+    steps: tuple        # winning restart's ground energies, one per site update
+    sweeps: tuple       # sweeps per restart; MAX_SWEEPS means the cap stopped it
+    energies: tuple     # exact product energy per restart
+    best: int           # index of the winning restart
 
 
 def seesaw_upper(
@@ -142,38 +106,71 @@ def seesaw_upper(
     single-site operator, so the energy sequence within a run is
     non-increasing.  Restarts draw Haar product states from a generator
     seeded with (seed, restart index); ties go to the earlier restart.
+    All restarts sweep as one stack (one matmul and one ``eigh`` per site
+    update); each leaves it when its energy falls by less than
+    SEESAW_CONVERGENCE in a sweep, or after MAX_SWEEPS.  With
+    ``return_trace`` a ``SeesawRun`` comes third.
     """
     if h.n_subsystems < 2:
         raise ValueError("seesaw needs a multipartite operator")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    dims = h.dims
-    k = len(dims)
+    dims, k, n = h.dims, h.n_subsystems, h.dim
     h_tensor = h.matrix.reshape(dims + dims)
-    plan = _contraction_plan(h_tensor, dims)
-    best_energy, best_state, best_traces = np.inf, None, None
+    # per site, H with axes (other bras, bra, ket, other kets) as a
+    # (n/d, d*d*n/d) matrix, so conj(kron of others) @ it leaves (d, d, n/d)
+    blocks = []
+    for s, d in enumerate(dims):
+        others = [j for j in range(k) if j != s]
+        axes = others + [s, k + s] + [k + j for j in others]
+        blocks.append(h_tensor.transpose(axes).reshape(n // d, d * d * n // d))
+    vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        for s, d in enumerate(dims):
+            vecs[s][r] = random_state_vector(d, rng)
 
-    for restart in range(restarts):
-        rng = np.random.default_rng((seed, restart))
-        vecs = [random_state_vector(d, rng) for d in dims]
-        trace = []
-        e_prev = np.inf
-        for _ in range(MAX_SWEEPS):
-            for s in range(k):
-                m = _effective_site_operator(h_tensor, plan, vecs, s)
-                vecs[s], e_now = _ground_factor(m, vecs[s])
-                trace.append(e_now)
-            if e_prev - trace[-1] < SEESAW_CONVERGENCE:
-                break
-            e_prev = trace[-1]
-        state = ProductState(tuple(vecs))
-        exact = state.energy(h)
-        if exact < best_energy - 1e-15:
-            best_energy, best_state, best_traces = exact, state, trace
+    sweeps = np.zeros(restarts, dtype=int)
+    e_prev = np.full(restarts, np.inf)
+    live = np.arange(restarts)
+    steps = []
+    for sweep in range(1, MAX_SWEEPS + 1):
+        for s, d in enumerate(dims):
+            # row r of p is the kron of restart r's other factors
+            p = reduce(lambda a, b: (a[:, :, None] * b[:, None]).reshape(len(a), -1),
+                       [vecs[j][live] for j in range(k) if j != s])
+            m = ((p.conj() @ blocks[s]).reshape(len(live), d * d, -1) @ p[:, :, None])
+            m = m.reshape(-1, d, d)
+            w, v = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
+            # inside a degenerate ground space take the direction closest
+            # to the previous factor, so the sweep cannot oscillate
+            ground = w <= w[:, :1] + DEGENERATE_SPLIT
+            coeff = v.conj().swapaxes(1, 2) @ vecs[s][live][:, :, None]
+            proj = (v @ np.where(ground[:, :, None], coeff, 0))[..., 0]
+            nrm = np.linalg.norm(proj, axis=1, keepdims=True)
+            tie = (ground.sum(axis=1, keepdims=True) > 1) & (nrm > 1e-8)
+            vecs[s][live] = np.where(tie, proj / np.where(tie, nrm, 1), v[:, :, 0])
+            if return_trace:
+                steps.append(np.full(restarts, np.nan))
+                steps[-1][live] = w[:, 0]
+        sweeps[live] = sweep
+        done = e_prev[live] - w[:, 0] < SEESAW_CONVERGENCE
+        e_prev[live] = w[:, 0]
+        live = live[~done]
+        if live.size == 0:
+            break
 
-    if return_trace:
-        return best_energy, best_state, best_traces
-    return best_energy, best_state
+    states = [ProductState(tuple(v[r] for v in vecs)) for r in range(restarts)]
+    energies = [state.energy(h) for state in states]
+    best = 0
+    for r in range(1, restarts):
+        if energies[r] < energies[best] - 1e-15:
+            best = r
+    if not return_trace:
+        return energies[best], states[best]
+    trace = tuple(float(row[best]) for row in steps[: sweeps[best] * k])
+    run = SeesawRun(trace, tuple(int(c) for c in sweeps), tuple(energies), best)
+    return energies[best], states[best], run
 
 
 def ppt_lower(h: HermitianOperator, gap_tol: float = 1e-7) -> tuple[float, PPTResult]:

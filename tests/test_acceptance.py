@@ -300,8 +300,8 @@ def test_criterion_9_property_suites():
     # seesaw monotonicity
     for seed in range(5):
         h = HermitianOperator(random_hermitian(4, np.random.default_rng(seed)), (2, 2))
-        _, _, trace = seesaw_upper(h, restarts=4, seed=seed, return_trace=True)
-        ok &= bool(np.all(np.diff(np.asarray(trace)) <= 1e-12))
+        _, _, run = seesaw_upper(h, restarts=4, seed=seed, return_trace=True)
+        ok &= bool(np.all(np.diff(np.asarray(run.steps)) <= 1e-12))
     notes.append("seesaw monotone")
     # U(T) monotone on a random spectrum; limits on a gapped one, where
     # the error exp(-Delta/T) resp. Var/T is actually controlled

@@ -254,6 +254,20 @@ def test_window_e_sep_override_empty(capsys):
     assert json.loads(out)["window"] is None
 
 
+def test_window_pretty_names_the_grid_it_missed_on(capsys):
+    """Choi's window [1.2555, 1.2714] is narrower than the default grid's
+    6.5% step, so the default scan misses it; the pretty line says how
+    the scan could have missed it while JSON and CSV keep their fields."""
+    code, out, _ = run_cli(capsys, "window", "--model", "choi", "--pretty")
+    assert code == 0
+    first, last = out.strip().splitlines()
+    assert first == (
+        "no bound-entanglement window found on 80 log-spaced points in [0.02, 3] "
+        "(ratio 1.0655 between points); a narrower window can fall between points"
+    )
+    assert json.loads(last)["window"] is None
+
+
 def test_table1_csv_and_values(capsys):
     code, out, _ = run_cli(capsys, "table1", "--restarts", "8", "--csv")
     assert code == 0
