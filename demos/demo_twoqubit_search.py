@@ -21,7 +21,7 @@ n = 5000
 res = random_search(n, seed=7)
 print(f"\nHaar-basis search over {n} samples (seed 7):")
 print(f"  max t_E found   = {res.max_t:.7f}")
-print(f"  at (E1, E2)     = ({res.argmax_e1:.4f}, {res.argmax_e2:.4f})")
+print(f"  at (E1, E2)     = ({res.e1:.4f}, {res.e2:.4f})")
 print(f"  zero-gap skips  = {res.n_skipped_zero_gap}")
 print(f"  seesaw cross-checks: {res.seesaw_checks}, worst deviation "
       f"{res.seesaw_max_deviation:.1e}")

@@ -217,19 +217,35 @@ def cmd_table2(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid {text!r} must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    return np.arange(start, stop + step / 2, step)
+def _parse_grids(*texts: str) -> list[np.ndarray]:
+    """``start:stop:step`` grids, stop included.  Their points are counted
+    before any grid is allocated, and grids whose surface (one point per
+    combination) exceeds physical memory even at seven float64 values per
+    point are refused."""
+    specs = []
+    for text in texts:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid {text!r} must be start:stop:step")
+        start, stop, step = (float(p) for p in parts)
+        if not np.isfinite([start, stop, step]).all():
+            raise ValueError(f"grid {text!r} must be finite")
+        if step <= 0:
+            raise ValueError("grid step must be positive")
+        specs.append((start, stop + step / 2, step))
+    # the lengths np.arange gives these grids
+    points = np.prod([max(0.0, np.ceil((stop - start) / step)) for start, stop, step in specs])
+    need, have = points * 7 * 8, sdp._physical_memory()
+    if need > have:
+        raise ValueError(
+            f"an xy-scan surface of {points:.0f} points needs {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+    return [np.arange(*spec) for spec in specs]
 
 
 def cmd_xy_scan(args, cfg: RunConfig) -> int:
-    gammas = _parse_grid(args.gamma)
-    lams = _parse_grid(args.lambda_grid)
+    gammas, lams = _parse_grids(args.gamma, args.lambda_grid)
     points = xy.xy_gap_surface(gammas, lams)
     rows = [{"gamma": p.gamma, "lambda": p.lam, "e_sep": p.e_sep_bond, "e0": p.e0_site,
              "e_max": p.e_max_site, "gap": p.gap_bond, "scaled_gap": p.scaled_gap}

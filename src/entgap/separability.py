@@ -219,11 +219,12 @@ def entanglement_gap(
     The witness offset is the (conservative) seesaw upper bound, so the
     induced witness H - offset*I is non-negative on every product state
     actually found; energies below the PPT lower bound certify
-    entanglement outright.
+    entanglement outright.  The bracket goes first, so an operator whose
+    PPT solve cannot fit in memory is refused before it is decomposed.
     """
+    sep = sep_bracket(h, restarts=restarts, seed=seed, gap_tol=gap_tol)
     spec = eig(h)
     e0, e_max = spec.e0, spec.e_max
-    sep = sep_bracket(h, restarts=restarts, seed=seed, gap_tol=gap_tol)
     e_tot = e_max - e0
     gap_lo = sep.lower - e0
     gap_hi = sep.upper - e0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,9 +137,9 @@ def e2_bounds(e1: float, tol: float = 1e-10):
 @dataclass(frozen=True)
 class SearchResult:
     max_t: float
-    argmax_e1: float
-    argmax_e2: float
-    argmax_basis_hash: str
+    e1: float
+    e2: float
+    basis_hash: str
     n_samples: int
     n_skipped_zero_gap: int
     seed: int
@@ -149,19 +149,7 @@ class SearchResult:
     n_unconverged: int          # samples whose PPT solve missed its contract
 
     def to_dict(self) -> dict:
-        return {
-            "max_t": self.max_t,
-            "e1": self.argmax_e1,
-            "e2": self.argmax_e2,
-            "basis_hash": self.argmax_basis_hash,
-            "n_samples": self.n_samples,
-            "n_skipped_zero_gap": self.n_skipped_zero_gap,
-            "seed": self.seed,
-            "ground": self.ground,
-            "seesaw_checks": self.seesaw_checks,
-            "seesaw_max_deviation": self.seesaw_max_deviation,
-            "n_unconverged": self.n_unconverged,
-        }
+        return asdict(self)
 
 
 def _sample_basis(rng: np.random.Generator, ground: str) -> np.ndarray:
@@ -179,42 +167,38 @@ def _sample_basis(rng: np.random.Generator, ground: str) -> np.ndarray:
     raise ValueError(f"unknown ground mode {ground!r}")
 
 
-def _search_chunk(args):
+def _sample(seed: int, i: int, ground: str):
+    """Sample ``i`` of a search: (E1, E2) uniform and ordered, then the
+    eigenbasis, both drawn from generator (seed, i)."""
+    rng = np.random.default_rng((seed, i))
+    e1, e2 = np.sort(rng.uniform(0.0, 1.0, 2))
+    return e1, e2, _sample_basis(rng, ground)
+
+
+def _search_block(args):
+    """Per-sample columns of one block: gap temperature (-inf when the
+    gap is zero or no crossing exists), zero-gap flag, PPT ``converged``
+    flag, and the seesaw deviations of the checked samples."""
     seed, ground, indices, check_every = args
-    samples = []
-    for i in indices:
-        rng = np.random.default_rng((seed, i))
-        e1, e2 = np.sort(rng.uniform(0.0, 1.0, 2))
-        basis = _sample_basis(rng, ground)
-        samples.append((i, e1, e2, basis, family_hamiltonian(e1, e2, basis)))
+    samples = [_sample(seed, i, ground) for i in indices]
+    hs = [family_hamiltonian(*s) for s in samples]
     # E_tot = 1 here, so 5e-7 on the separable energy keeps the gap
     # temperature well inside its 1e-6 comparison tolerance
-    results = solve_ppt_sdp_batch(
-        np.array([s[4].matrix for s in samples]), (2, 2), gap_tol=5e-7
-    )
-    max_t, arg = -np.inf, (np.nan, np.nan, "")
-    skipped = unconverged = checks = 0
-    max_dev = 0.0
-    for (i, e1, e2, basis, h), res in zip(samples, results):
-        e_sep = res.value
-        unconverged += not res.converged
-        if check_every and i % check_every == 0:
-            up, _ = seesaw_upper(h, restarts=8, seed=i)
-            checks += 1
-            max_dev = max(max_dev, abs(up - e_sep))
-        if e_sep <= ZERO_GAP_TOL:
-            skipped += 1
-            continue
-        # E_tot = 1, so the scaled and bare gap temperatures coincide
-        t = entanglement_gap_temperature(np.array([0.0, e1, e2, 1.0]), e_sep)
-        if t is not None and t > max_t:
-            max_t = t
-            arg = (
-                float(e1),
-                float(e2),
-                hashlib.sha1(np.ascontiguousarray(basis).tobytes()).hexdigest()[:12],
-            )
-    return max_t, arg, skipped, checks, max_dev, unconverged
+    results = solve_ppt_sdp_batch(np.array([h.matrix for h in hs]), (2, 2), gap_tol=5e-7)
+    zero = np.array([res.value <= ZERO_GAP_TOL for res in results])
+    temps = np.full(len(indices), -np.inf)
+    for k, ((e1, e2, _), res) in enumerate(zip(samples, results)):
+        # E_tot = 1, so the scaled and bare gap temperatures coincide; no
+        # crossing (None) reads -inf like a zero gap
+        if not zero[k]:
+            levels = np.array([0.0, e1, e2, 1.0])
+            temps[k] = entanglement_gap_temperature(levels, res.value) or -np.inf
+    deviations = [
+        abs(seesaw_upper(h, restarts=8, seed=i)[0] - res.value)
+        for i, h, res in zip(indices, hs, results)
+        if check_every and i % check_every == 0
+    ]
+    return temps, zero, np.array([res.converged for res in results]), np.array(deviations)
 
 
 def default_workers() -> int:
@@ -234,48 +218,41 @@ def random_search(
 
     Deterministic for fixed (n_samples, seed, ground): each sample owns
     generator (seed, index), the PPT solves run in fixed blocks of
-    ``SEARCH_BLOCK`` samples whatever the worker count, and the reduction
-    is an order-independent max.  Samples whose ground manifold holds a
-    product state (zero gap) are skipped and counted.  Samples whose PPT
-    solve missed its contract are counted in ``n_unconverged``: a looser
-    lower bound can only lower a sample's temperature, so a zero count
-    says the comparison with 1/ln 3 was not weakened.  Every
-    ``check_every`` samples the PPT value is cross-checked against a
-    seesaw upper bound.
+    ``SEARCH_BLOCK`` samples whatever the worker count, and one argmax
+    over the per-sample temperatures picks the first maximum.  Samples
+    whose ground manifold holds a product state (zero gap) are skipped
+    and counted.  Samples whose PPT solve missed its contract are counted
+    in ``n_unconverged``: a looser lower bound can only lower a sample's
+    temperature, so a zero count says the comparison with 1/ln 3 was not
+    weakened.  Every ``check_every`` samples the PPT value is
+    cross-checked against a seesaw upper bound.  ``workers`` processes
+    (at least 1, at most the core count) share the blocks.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    workers = default_workers() if workers is None else max(1, workers)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     indices = np.arange(n_samples)
     blocks = [
         (seed, ground, indices[k : k + SEARCH_BLOCK], check_every)
         for k in range(0, n_samples, SEARCH_BLOCK)
     ]
-    if workers == 1 or len(blocks) == 1:
-        parts = [_search_chunk(b) for b in blocks]
+    workers = min(workers or default_workers(), len(blocks), os.cpu_count() or 1)
+    if workers == 1:
+        parts = [_search_block(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(_search_chunk, blocks))
-    max_t, arg = -np.inf, (np.nan, np.nan, "")
-    skipped = checks = unconverged = 0
-    max_dev = 0.0
-    for part_t, part_arg, part_skip, part_checks, part_dev, part_unconv in parts:
-        skipped += part_skip
-        checks += part_checks
-        unconverged += part_unconv
-        max_dev = max(max_dev, part_dev)
-        if part_t > max_t:
-            max_t, arg = part_t, part_arg
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_search_block, blocks))
+    temps, zero, converged, deviations = (np.concatenate(c) for c in zip(*parts))
+    # the first sample at the maximum wins
+    best = int(np.argmax(temps))
+    e1, e2, basis_hash = np.nan, np.nan, ""
+    if temps[best] > -np.inf:
+        e1, e2, basis = _sample(seed, best, ground)
+        basis_hash = hashlib.sha1(np.ascontiguousarray(basis).tobytes()).hexdigest()[:12]
     return SearchResult(
-        max_t=float(max_t),
-        argmax_e1=arg[0],
-        argmax_e2=arg[1],
-        argmax_basis_hash=arg[2],
-        n_samples=n_samples,
-        n_skipped_zero_gap=skipped,
-        seed=seed,
-        ground=ground,
-        seesaw_checks=checks,
-        seesaw_max_deviation=float(max_dev),
-        n_unconverged=unconverged,
+        max_t=float(temps[best]), e1=float(e1), e2=float(e2), basis_hash=basis_hash,
+        n_samples=n_samples, n_skipped_zero_gap=int(zero.sum()), seed=seed, ground=ground,
+        seesaw_checks=len(deviations), seesaw_max_deviation=float(deviations.max(initial=0.0)),
+        n_unconverged=int((~converged).sum()),
     )

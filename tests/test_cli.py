@@ -95,6 +95,19 @@ def test_temp_refuses_a_model_whose_ppt_solve_cannot_fit_before_the_seesaw(
     assert "PPT solve of side 36" in err
 
 
+def test_gap_refuses_a_model_whose_ppt_solve_cannot_fit_before_decomposing_it(
+    monkeypatch, capsys
+):
+    from entgap import sdp, separability
+
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: SMALL_MEMORY)
+    monkeypatch.setattr(separability, "eig", _fail("eig"))
+    monkeypatch.setattr(sdp, "_Basis", _fail("_Basis"))
+    code, out, err = run_cli(capsys, "gap", "--model", "ces:6", "--json")
+    assert code == 2 and out == ""
+    assert "PPT solve of side 36" in err
+
+
 def test_pretty_numbers_also_in_machine_output(capsys):
     code, out, _ = run_cli(capsys, "gap", "--model", "heisenberg", "--pretty")
     assert code == 0
@@ -211,6 +224,34 @@ def test_malformed_grid_exits_2(capsys):
     assert "grid" in err
 
 
+def test_xy_scan_refuses_a_surface_that_cannot_fit_before_allocating_it(capsys):
+    # 10^18 gamma points times the 41 default lambda points
+    code, out, err = run_cli(capsys, "xy-scan", "--gamma", "0:1e12:1e-6", "--json")
+    assert code == 2 and out == ""
+    assert "41000000000000000000 points" in err
+
+
+def test_xy_scan_counts_the_surface_not_each_grid(monkeypatch, capsys):
+    from entgap import sdp, xy
+
+    # 1001 x 2001 points of seven float64 values need 112 MB; each grid
+    # alone would fit in 1 MiB
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(xy, "xy_gap_surface", _fail("xy_gap_surface"))
+    code, out, err = run_cli(
+        capsys, "xy-scan", "--gamma", "0:1:0.001", "--lambda", "0:2:0.001", "--json"
+    )
+    assert code == 2 and out == ""
+    assert "2003001 points" in err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:-0.5"])
+def test_xy_scan_refuses_a_grid_off_its_form(grid, capsys):
+    code, out, err = run_cli(capsys, "xy-scan", "--gamma", grid, "--json")
+    assert code == 2 and out == ""
+    assert "grid" in err
+
+
 def test_temp_command_curve(capsys):
     code, out, _ = run_cli(
         capsys, "temp", "--model", "maxent:2", "--t-min", "0.2", "--t-max", "5",
@@ -298,6 +339,15 @@ def test_search_2q_small(capsys):
     payload = json.loads(out)
     assert payload["max_t"] <= payload["afm_reference"] + 1e-6
     assert payload["n_samples"] == 60
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_search_2q_refuses_fewer_than_one_worker(workers, capsys):
+    code, out, err = run_cli(
+        capsys, "search-2q", "--samples", "5", "--workers", workers, "--json"
+    )
+    assert code == 2 and out == ""
+    assert f"workers must be >= 1, got {workers}" in err
 
 
 def test_compare_temps_small(capsys):

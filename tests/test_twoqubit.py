@@ -158,3 +158,81 @@ def test_random_search_singlet_mode():
         random_search(0)
     with pytest.raises(ValueError):
         random_search(5, ground="nosuch")
+
+
+def _sample_energies(seed, i):
+    """(E1, E2, basis hash, PPT value) of Haar sample ``i``, rebuilt from
+    generator (seed, i) the way the search draws it."""
+    import hashlib
+
+    rng = np.random.default_rng((seed, i))
+    e1, e2 = np.sort(rng.uniform(0.0, 1.0, 2))
+    basis = _sample_basis(rng, "haar")
+    digest = hashlib.sha1(np.ascontiguousarray(basis).tobytes()).hexdigest()[:12]
+    return float(e1), float(e2), digest, ppt_lower(family_hamiltonian(e1, e2, basis))[0]
+
+
+def test_first_sample_at_the_maximum_wins_across_blocks(monkeypatch):
+    # every sample above the zero-gap threshold reaches the same temperature,
+    # so the winner is the first sample past it, in whichever block it is
+    monkeypatch.setattr(twoqubit, "SEARCH_BLOCK", 8)
+    monkeypatch.setattr(twoqubit, "ZERO_GAP_TOL", 0.15)
+    monkeypatch.setattr(twoqubit, "entanglement_gap_temperature", lambda w, e: 0.5)
+    seed = 0
+    first = next(i for i in range(40) if _sample_energies(seed, i)[3] > 0.15)
+    assert first >= 8  # the winner is not in the first block
+    res = random_search(40, seed=seed, check_every=0, workers=1)
+    assert res.max_t == 0.5
+    assert (res.e1, res.e2, res.basis_hash) == _sample_energies(seed, first)[:3]
+    assert res.n_skipped_zero_gap >= first
+    assert res.seesaw_checks == 0 and res.seesaw_max_deviation == 0.0
+
+
+def test_all_samples_skipped_leaves_no_winner(monkeypatch):
+    monkeypatch.setattr(twoqubit, "SEARCH_BLOCK", 8)
+    monkeypatch.setattr(twoqubit, "ZERO_GAP_TOL", 2.0)
+    res = random_search(20, seed=1, check_every=0, workers=1)
+    assert res.max_t == -np.inf
+    assert np.isnan(res.e1) and np.isnan(res.e2) and res.basis_hash == ""
+    assert res.n_skipped_zero_gap == res.n_samples == 20
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in
+    this process, so no process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_capped_at_blocks_and_cores(monkeypatch):
+    monkeypatch.setattr(twoqubit, "SEARCH_BLOCK", 8)
+    monkeypatch.setattr(twoqubit, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(twoqubit.os, "cpu_count", lambda: 2)
+    serial = random_search(24, seed=9, check_every=0, workers=1)
+    assert _RecordingPool.sizes == []
+    # 64 workers asked for, 3 blocks, 2 cores
+    assert random_search(24, seed=9, check_every=0, workers=64) == serial
+    assert _RecordingPool.sizes == [2]
+    monkeypatch.setattr(twoqubit.os, "cpu_count", lambda: 8)
+    random_search(24, seed=9, check_every=0, workers=64)
+    assert _RecordingPool.sizes == [2, 3]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fewer_than_one_worker_is_refused(workers, monkeypatch):
+    monkeypatch.setattr(twoqubit, "ProcessPoolExecutor", None)
+    with pytest.raises(ValueError, match=f"got {workers}"):
+        random_search(5, workers=workers)
