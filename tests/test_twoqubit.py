@@ -229,10 +229,3 @@ def test_pool_is_capped_at_blocks_and_cores(monkeypatch):
     monkeypatch.setattr(twoqubit.os, "cpu_count", lambda: 8)
     random_search(24, seed=9, check_every=0, workers=64)
     assert _RecordingPool.sizes == [2, 3]
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_fewer_than_one_worker_is_refused(workers, monkeypatch):
-    monkeypatch.setattr(twoqubit, "ProcessPoolExecutor", None)
-    with pytest.raises(ValueError, match=f"got {workers}"):
-        random_search(5, workers=workers)
