@@ -22,6 +22,7 @@ from .operators import LanczosError, eig
 
 SCHEMA = 1
 OUTPUTS = ("json", "csv", "pretty")
+XY_POINT_BYTES = 2560  # above xy-scan's tracemalloc peak, 2.1 KB/point on 231 points
 
 
 @dataclass
@@ -220,8 +221,8 @@ def cmd_table2(args, cfg: RunConfig) -> int:
 def _parse_grids(*texts: str) -> list[np.ndarray]:
     """``start:stop:step`` grids, stop included.  Their points are counted
     before any grid is allocated, and grids whose surface (one point per
-    combination) exceeds physical memory even at seven float64 values per
-    point are refused."""
+    combination) exceeds physical memory at ``XY_POINT_BYTES`` per point
+    are refused."""
     specs = []
     for text in texts:
         parts = text.split(":")
@@ -235,11 +236,11 @@ def _parse_grids(*texts: str) -> list[np.ndarray]:
         specs.append((start, stop + step / 2, step))
     # the lengths np.arange gives these grids
     points = np.prod([max(0.0, np.ceil((stop - start) / step)) for start, stop, step in specs])
-    need, have = points * 7 * 8, sdp._physical_memory()
+    need, have = points * XY_POINT_BYTES, sdp._physical_memory()
     if need > have:
         raise ValueError(
-            f"an xy-scan surface of {points:.0f} points needs {need / 2**30:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
+            f"an xy-scan surface of {points:.0f} points at {XY_POINT_BYTES} bytes each needs "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
         )
     return [np.arange(*spec) for spec in specs]
 

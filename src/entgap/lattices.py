@@ -137,9 +137,9 @@ LATTICES = {
 
 @dataclass(frozen=True)
 class AssembledLattice:
-    """Sum of the coupling over all bonds as one sparse matrix; the
-    matrix-free apply and the dense form (when the side is at most
-    ``DENSE_CUTOFF``) both read it."""
+    """Sum of the coupling over all bonds as one sparse matrix, float64
+    for a real coupling; the matrix-free apply and the dense form (when
+    the side is at most ``DENSE_CUTOFF``) both read it."""
 
     spec: LatticeSpec
     coupling: HermitianOperator
@@ -156,7 +156,8 @@ class AssembledLattice:
         """Dense copy of ``matrix`` on first read; None above the cutoff."""
         if self.spec.dim > DENSE_CUTOFF:
             return None
-        return HermitianOperator(self.matrix.toarray(), self.matrix_free.dims)
+        # cast while sparse: a float64 toarray would stay alive beside its complex copy
+        return HermitianOperator(self.matrix.astype(complex).toarray(), self.matrix_free.dims)
 
 
 def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.csr_array:
@@ -194,9 +195,10 @@ def assemble(spec: LatticeSpec, coupling: HermitianOperator) -> AssembledLattice
     side = spec.dim
     if side > MAX_SIDE:
         raise ValueError(f"side {side} exceeds the maximum {MAX_SIDE}")
-    matrix = sparse.csr_array((side, side), dtype=complex)
+    h2 = coupling.matrix if coupling.matrix.imag.any() else coupling.matrix.real
+    matrix = sparse.csr_array((side, side), dtype=h2.dtype)
     for (i, j) in spec.bonds:
-        matrix = matrix + _bond_matrix(coupling.matrix, i, j, spec)
+        matrix = matrix + _bond_matrix(h2, i, j, spec)
     return AssembledLattice(spec=spec, coupling=coupling, matrix=matrix)
 
 

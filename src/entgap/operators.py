@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -59,12 +59,16 @@ class HermitianOperator:
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if not np.isfinite(m).all():
             raise ValueError("matrix is not finite and Hermitian (non-finite entry)")
-        asym = np.max(np.abs(m - m.conj().T)) if side else 0.0
+        # blocks of 2**16 entries: no full-size temporary besides ``out``
+        out, asym, step = np.empty_like(m), 0.0, max(1, 2 ** 16 // side)
+        for r in range(0, side, step):
+            rows, mirror = m[r:r + step], m[:, r:r + step].conj().T
+            asym = max(asym, np.max(np.abs(rows - mirror)))
+            out[r:r + step] = (rows + mirror) / 2
         if asym > HERMITICITY_TOL:
             raise ValueError(f"matrix is not finite and Hermitian (asymmetry {asym:.3e})")
-        m = (m + m.conj().T) / 2
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        out.flags.writeable = False
+        object.__setattr__(self, "matrix", out)
         object.__setattr__(self, "dims", dims)
 
     def __setattr__(self, name, value):
@@ -236,13 +240,13 @@ def lanczos_ground(
 ):
     """Lowest eigenpair of a Hermitian matrix-free operator.
 
-    ARPACK's implicitly restarted Lanczos on a ``LinearOperator`` whose
-    matvec is ``op.apply``, started from a seeded random state.  ARPACK's
-    tolerance is relative to |E|, so the explicit residual ||A v - E v||
-    is checked and the solve repeated from the returned vector with a
-    tighter tolerance until it drops below ``tol``.  Raises
-    :class:`LanczosError` (carrying the residual reached) once
-    ``max_iter`` matrix applications are spent.
+    ARPACK on ``op.apply`` from a seeded random unit vector: symmetric
+    Lanczos on float64 vectors when ``op.apply`` of a float64 zero vector
+    is real, complex Arnoldi otherwise.  ARPACK's tolerance is relative
+    to |E|, so the explicit residual ||A v - E v|| is checked and the
+    solve repeated from the returned vector with a tighter tolerance
+    until it drops below ``tol``.  Raises :class:`LanczosError` (carrying
+    the residual reached) once ``max_iter`` matrix applications are spent.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -258,15 +262,18 @@ def lanczos_ground(
         n_apply += 1
         return op.apply(x)
 
-    a = LinearOperator((n, n), matvec=matvec, dtype=complex)
     rng = np.random.default_rng(seed)
-    v = random_state_vector(n, rng)
+    real = not np.iscomplexobj(op.apply(np.zeros(n)))
+    v = rng.standard_normal(n) if real else random_state_vector(n, rng)
+    if real:
+        v /= np.linalg.norm(v)
+    a = LinearOperator((n, n), matvec=matvec, dtype=v.dtype)
+    # eigsh drops rng for a complex operator; eigs keeps restarts seeded
+    solve, which = (eigsh, "SA") if real else (eigs, "SR")
     rel = tol
     try:
         while True:
-            # eigsh hands complex operators to eigs without its rng; call
-            # eigs so a restart after Krylov breakdown stays seeded
-            w, vecs = eigs(a, k=1, which="SR", v0=v, tol=rel, rng=rng)
+            w, vecs = solve(a, k=1, which=which, v0=v, tol=rel, rng=rng)
             e, v = float(w[0].real), vecs[:, 0]
             res = float(np.linalg.norm(matvec(v) - e * v))
             if res <= tol:

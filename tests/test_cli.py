@@ -234,15 +234,33 @@ def test_xy_scan_refuses_a_surface_that_cannot_fit_before_allocating_it(capsys):
 def test_xy_scan_counts_the_surface_not_each_grid(monkeypatch, capsys):
     from entgap import sdp, xy
 
-    # 1001 x 2001 points of seven float64 values need 112 MB; each grid
-    # alone would fit in 1 MiB
-    monkeypatch.setattr(sdp, "_physical_memory", lambda: 2**20)
+    # 1001 x 2001 points need 5.1 GB at XY_POINT_BYTES each; each grid
+    # alone would fit in 16 MiB
+    monkeypatch.setattr(sdp, "_physical_memory", lambda: 2**24)
     monkeypatch.setattr(xy, "xy_gap_surface", _fail("xy_gap_surface"))
     code, out, err = run_cli(
         capsys, "xy-scan", "--gamma", "0:1:0.001", "--lambda", "0:2:0.001", "--json"
     )
     assert code == 2 and out == ""
     assert "2003001 points" in err
+
+
+def test_xy_scan_memory_figure_is_not_below_what_a_scan_holds(capsys):
+    import tracemalloc
+
+    from entgap.cli import XY_POINT_BYTES
+
+    run_cli(capsys, "xy-scan", "--gamma", "0:0.1:0.1", "--lambda", "0:0.1:0.1", "--json")
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            capsys, "xy-scan", "--gamma", "0:1:0.05", "--lambda", "0:1:0.05", "--json"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(last_json(out)["rows"]) == 441
+    assert peak <= 441 * XY_POINT_BYTES
 
 
 @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:-0.5"])

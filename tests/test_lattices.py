@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+from scipy import sparse
+
+from entgap import models
 from entgap.lattices import (
     LatticeSpec,
     REFERENCE_ENERGIES,
+    _bond_matrix,
     assemble,
     bond_energy_decomposition,
     star_ground_energy_heisenberg,
 )
-from entgap.models import heisenberg_pair, xy_pair
+from entgap.models import SIGMA_X, SIGMA_Y, heisenberg_pair, xxz_pair, xy_pair
 from entgap.operators import (
     HermitianOperator,
+    MatrixFreeOperator,
     eig,
     identity,
     kron,
@@ -93,6 +98,51 @@ def test_assembly_matches_kron_embedding_oracle(spec):
     assert np.max(np.abs(asm.dense.matrix - expected)) < 1e-13
     block = rng.standard_normal((spec.dim, 3)) + 1j * rng.standard_normal((spec.dim, 3))
     assert np.max(np.abs(asm.matrix_free.apply(block) - expected @ block)) < 1e-12
+
+
+def _dm_heisenberg():
+    """Heisenberg plus a Dzyaloshinskii-Moriya term: a coupling whose
+    off-diagonal entries are complex."""
+    dm = np.kron(SIGMA_X, SIGMA_Y) - np.kron(SIGMA_Y, SIGMA_X)
+    return HermitianOperator(heisenberg_pair().matrix + 0.5 * dm, (2, 2))
+
+
+def test_real_couplings_assemble_into_float64_and_dense_is_the_complex_assembly():
+    for name in ("heisenberg", "xxz:1.3", "xy:0.3:0.7"):
+        coupling = models.from_identifier(name)
+        assert assemble(LatticeSpec.ring(5), coupling).matrix.dtype == np.float64
+    assert assemble(LatticeSpec.ring(5), _dm_heisenberg()).matrix.dtype == np.complex128
+    for spec in (LatticeSpec.star(4), LatticeSpec.ring(9), LatticeSpec.complete(4)):
+        for coupling in (heisenberg_pair(), xxz_pair(1.3), xy_pair(0.3, 0.7)):
+            complex_sum = sparse.csr_array((spec.dim, spec.dim), dtype=complex)
+            for (i, j) in spec.bonds:
+                complex_sum = complex_sum + _bond_matrix(coupling.matrix, i, j, spec)
+            expected = HermitianOperator(complex_sum.toarray(), (2,) * spec.n_sites)
+            got = assemble(spec, coupling).dense.matrix
+            assert got.dtype == np.complex128
+            assert got.tobytes() == expected.matrix.tobytes()
+
+
+def test_real_lanczos_matches_the_complex_solve_of_the_same_matrix():
+    asm = assemble(LatticeSpec.ring(12), xxz_pair(1.3))
+    real = MatrixFreeOperator(asm.spec.dim, asm.matrix.__matmul__)
+    as_complex = MatrixFreeOperator(asm.spec.dim, asm.matrix.astype(complex).__matmul__)
+    (e_r, v_r), (e_c, v_c) = lanczos_ground(real), lanczos_ground(as_complex)
+    assert v_r.dtype == np.float64 and v_c.dtype == np.complex128
+    assert abs(e_r - e_c) <= 1e-12
+    for e, v in ((e_r, v_r), (e_c, v_c)):
+        assert np.linalg.norm(asm.matrix @ v - e * v) <= 1e-10
+
+
+@pytest.mark.parametrize("coupling", [xxz_pair(1.3), _dm_heisenberg()], ids=["real", "complex"])
+def test_lanczos_is_bitwise_the_same_on_an_operator_rebuilt_from_its_apply(coupling):
+    # a wrapper that keeps only dimension, apply and dims (as a tracer that
+    # counts matvecs does) must take the same path as the original
+    op = assemble(LatticeSpec.ring(10), coupling).matrix_free
+    rebuilt = MatrixFreeOperator(op.dimension, lambda v: op.apply(v), op.dims)
+    e, v = lanczos_ground(op)
+    for e2, v2 in (lanczos_ground(rebuilt), lanczos_ground(op)):
+        assert e2 == e and v2.dtype == v.dtype and v2.tobytes() == v.tobytes()
 
 
 def test_matrix_free_agrees_with_dense():

@@ -44,6 +44,24 @@ def test_constructor_symmetrizes_small_asymmetry_and_rejects_large():
         op2(m)
 
 
+def test_blocked_symmetrization_is_bitwise_the_full_size_formula():
+    # side 512 runs in several row blocks
+    rng = np.random.default_rng(4)
+    m = random_hermitian(512, rng) + 1e-12 * random_hermitian(512, rng) * 1j
+    m[3, 3] += 1e-12j
+    before = m.copy()
+    h = HermitianOperator(m, (2,) * 9)
+    assert h.matrix.tobytes() == ((m + m.conj().T) / 2).tobytes()
+    assert np.array_equal(m, before) and h.matrix is not m
+    # the largest asymmetry and a non-finite entry sit in the last block
+    m[511, 0] += 1e-6
+    with pytest.raises(ValueError, match=f"asymmetry {np.max(np.abs(m - m.conj().T)):.3e}"):
+        HermitianOperator(m, (2,) * 9)
+    m[511, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianOperator(m, (2,) * 9)
+
+
 def test_operator_is_immutable():
     h = op2(np.eye(2))
     with pytest.raises(AttributeError):
@@ -180,6 +198,7 @@ def test_lanczos_matches_dense_on_random_hermitian():
         m = random_hermitian(n, rng)
         op = MatrixFreeOperator(dimension=n, apply=lambda v, m=m: m @ v)
         e, vec = lanczos_ground(op, tol=1e-9, seed=1)
+        assert vec.dtype == np.complex128
         w = np.linalg.eigvalsh(m)[0]
         assert abs(e - w) < 1e-8
         assert np.linalg.norm(m @ vec - e * vec) < 1e-8
