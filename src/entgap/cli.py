@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cache
 
 import numpy as np
 
@@ -299,6 +300,7 @@ def _add_command(sub, name, func, settings, summary):
     return p
 
 
+@cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entgap",

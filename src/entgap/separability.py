@@ -106,10 +106,10 @@ def seesaw_upper(
     single-site operator, so the energy sequence within a run is
     non-increasing.  Restarts draw Haar product states from a generator
     seeded with (seed, restart index); ties go to the earlier restart.
-    All restarts sweep as one stack (one matmul and one ``eigh`` per site
-    update); each leaves it when its energy falls by less than
-    SEESAW_CONVERGENCE in a sweep, or after MAX_SWEEPS.  With
-    ``return_trace`` a ``SeesawRun`` comes third.
+    The restarts sweep as one stack: per site update, one matmul and one
+    ``eigh`` run over the live restarts only.  Each leaves the stack when
+    its energy falls by less than SEESAW_CONVERGENCE in a sweep, or after
+    MAX_SWEEPS.  With ``return_trace`` a ``SeesawRun`` comes third.
     """
     if h.n_subsystems < 2:
         raise ValueError("seesaw needs a multipartite operator")
@@ -130,35 +130,46 @@ def seesaw_upper(
         for s, d in enumerate(dims):
             vecs[s][r] = random_state_vector(d, rng)
 
-    sweeps = np.zeros(restarts, dtype=int)
-    e_prev = np.full(restarts, np.inf)
-    live = np.arange(restarts)
+    sweeps = np.full(restarts, MAX_SWEEPS)
+    # the live restarts' factors, energies and indices, compacted; a
+    # restart's rows go back to vecs when it leaves the stack
+    cur, e_prev, live = list(vecs), np.full(restarts, np.inf), np.arange(restarts)
     steps = []
     for sweep in range(1, MAX_SWEEPS + 1):
         for s, d in enumerate(dims):
-            # row r of p is the kron of restart r's other factors
+            # row r of p is the kron of live restart r's other factors
             p = reduce(lambda a, b: (a[:, :, None] * b[:, None]).reshape(len(a), -1),
-                       [vecs[j][live] for j in range(k) if j != s])
+                       [cur[j] for j in range(k) if j != s])
             m = ((p.conj() @ blocks[s]).reshape(len(live), d * d, -1) @ p[:, :, None])
             m = m.reshape(-1, d, d)
             w, v = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
+            # a contiguous copy, so the matmuls that read it next take the BLAS path
+            new = v[:, :, 0].copy()
             # inside a degenerate ground space take the direction closest
             # to the previous factor, so the sweep cannot oscillate
             ground = w <= w[:, :1] + DEGENERATE_SPLIT
-            coeff = v.conj().swapaxes(1, 2) @ vecs[s][live][:, :, None]
-            proj = (v @ np.where(ground[:, :, None], coeff, 0))[..., 0]
-            nrm = np.linalg.norm(proj, axis=1, keepdims=True)
-            tie = (ground.sum(axis=1, keepdims=True) > 1) & (nrm > 1e-8)
-            vecs[s][live] = np.where(tie, proj / np.where(tie, nrm, 1), v[:, :, 0])
+            if ground[:, 1:].any():
+                coeff = v.conj().swapaxes(1, 2) @ cur[s][:, :, None]
+                proj = (v @ np.where(ground[:, :, None], coeff, 0))[..., 0]
+                nrm = np.linalg.norm(proj, axis=1, keepdims=True)
+                tie = (ground.sum(axis=1, keepdims=True) > 1) & (nrm > 1e-8)
+                new = np.where(tie, proj / np.where(tie, nrm, 1), new)
+            cur[s] = new
             if return_trace:
                 steps.append(np.full(restarts, np.nan))
                 steps[-1][live] = w[:, 0]
-        sweeps[live] = sweep
-        done = e_prev[live] - w[:, 0] < SEESAW_CONVERGENCE
-        e_prev[live] = w[:, 0]
-        live = live[~done]
-        if live.size == 0:
-            break
+        done = e_prev - w[:, 0] < SEESAW_CONVERGENCE
+        e_prev = w[:, 0]
+        if done.any():
+            sweeps[live[done]] = sweep
+            for s in range(k):
+                vecs[s][live[done]] = cur[s][done]
+                cur[s] = cur[s][~done]
+            e_prev, live = e_prev[~done], live[~done]
+            if live.size == 0:
+                break
+    for s in range(k):
+        vecs[s][live] = cur[s]
 
     states = [ProductState(tuple(v[r] for v in vecs)) for r in range(restarts)]
     energies = [state.energy(h) for state in states]

@@ -48,11 +48,16 @@ def thermal_energy(levels, temperature: float) -> float:
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     w = np.asarray(levels, dtype=float)
-    beta = 1.0 / temperature
-    x = -beta * (w - w.min())
+    return float(_thermal_energies(w[None], np.array([temperature]))[0])
+
+
+def _thermal_energies(w: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """U of each row of the (S, L) levels ``w`` at its own temperature."""
+    beta = 1.0 / temperatures
+    x = -beta[:, None] * (w - w.min(axis=1, keepdims=True))
     weights = np.exp(x)
-    z = weights.sum()
-    return float((w * weights).sum() / z)
+    z = weights.sum(axis=1)
+    return (w * weights).sum(axis=1) / z
 
 
 def gibbs_state(spec: Spectrum, temperature: float) -> HermitianOperator:
@@ -66,44 +71,50 @@ def gibbs_state(spec: Spectrum, temperature: float) -> HermitianOperator:
     return HermitianOperator(rho, spec.dims)
 
 
-def entanglement_gap_temperature(
-    levels, e_sep: float, tol: float = 1e-10
-) -> float | None:
+def entanglement_gap_temperature(levels, e_sep, tol: float = 1e-10):
     """Temperature at which the thermal energy of ``levels`` equals ``e_sep``.
 
-    Returns None when no finite solution exists, i.e. when e_sep does
-    not lie strictly between the ground energy and the infinite-T mean.
-    Bisection under monotonicity; the result satisfies
-    |U(T) - e_sep| <= tol unless the bracket first closes to adjacent
-    floats or takes BISECT_CAP halvings.
+    ``levels`` is one spectrum (L,) with a scalar ``e_sep``, or a stack of
+    spectra (S, L) with ``e_sep`` of shape (S,), bisected all at once.
+    No finite solution exists when e_sep does not lie strictly between
+    the ground energy and the infinite-T mean: a spectrum then gives
+    None, a stack NaN in that row.  Bisection under monotonicity; each
+    result satisfies |U(T) - e_sep| <= tol unless its bracket first
+    closes to adjacent floats or takes BISECT_CAP halvings.
     """
-    w = np.asarray(levels, dtype=float)
-    e0, mean = float(w.min()), float(w.mean())
-    if not (e0 < e_sep < mean):
-        return None
-
-    t_lo, t_hi = 1e-6, 1.0
+    one = np.ndim(levels) == 1
+    w = np.atleast_2d(np.asarray(levels, dtype=float))
+    e = np.atleast_1d(np.asarray(e_sep, dtype=float))
+    out = np.full(len(w), np.nan)
+    rows = np.flatnonzero((w.min(axis=1) < e) & (e < w.mean(axis=1)))
+    w, e = w[rows], e[rows]
+    t_lo, t_hi = np.full(len(rows), 1e-6), np.ones(len(rows))
+    # widen each row's bracket until U(t_lo) < e_sep < U(t_hi)
+    for t, scale, inside in ((t_lo, 0.5, np.less), (t_hi, 2.0, np.greater)):
+        live = np.arange(len(rows))
+        for _ in range(BISECT_CAP):
+            live = live[~inside(_thermal_energies(w[live], t[live]), e[live])]
+            if live.size == 0:
+                break
+            t[live] *= scale
+    live = np.arange(len(rows))
     for _ in range(BISECT_CAP):
-        if thermal_energy(w, t_lo) < e_sep:
-            break
-        t_lo /= 2
-    for _ in range(BISECT_CAP):
-        if thermal_energy(w, t_hi) > e_sep:
-            break
-        t_hi *= 2
-    for _ in range(BISECT_CAP):
-        t_mid = 0.5 * (t_lo + t_hi)
+        t_mid = 0.5 * (t_lo[live] + t_hi[live])
         # no float lies between the ends, so every further halving repeats this one
-        if t_mid in (t_lo, t_hi):
+        moves = (t_mid != t_lo[live]) & (t_mid != t_hi[live])
+        live, t_mid = live[moves], t_mid[moves]
+        if live.size == 0:
             break
-        u = thermal_energy(w, t_mid)
-        if abs(u - e_sep) <= tol:
-            return t_mid
-        if u < e_sep:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    return 0.5 * (t_lo + t_hi)
+        u = _thermal_energies(w[live], t_mid)
+        below, near = u < e[live], np.abs(u - e[live]) <= tol
+        # a row within tol keeps t_mid as both ends, and so as its result
+        t_lo[live[below | near]] = t_mid[below | near]
+        t_hi[live[~below | near]] = t_mid[~below | near]
+        live = live[~near]
+    out[rows] = 0.5 * (t_lo + t_hi)
+    if one:
+        return None if np.isnan(out[0]) else float(out[0])
+    return out
 
 
 def bisect_bool(pred, x_false: float, x_true: float, tol: float) -> float:

@@ -185,14 +185,14 @@ def _search_block(args):
     # E_tot = 1 here, so 5e-7 on the separable energy keeps the gap
     # temperature well inside its 1e-6 comparison tolerance
     results = solve_ppt_sdp_batch(np.array([h.matrix for h in hs]), (2, 2), gap_tol=5e-7)
-    zero = np.array([res.value <= ZERO_GAP_TOL for res in results])
+    values = np.array([res.value for res in results])
+    zero = values <= ZERO_GAP_TOL
+    # E_tot = 1, so the scaled and bare gap temperatures coincide; no
+    # crossing (NaN) reads -inf like a zero gap
+    levels = np.array([[0.0, e1, e2, 1.0] for e1, e2, _ in samples])
     temps = np.full(len(indices), -np.inf)
-    for k, ((e1, e2, _), res) in enumerate(zip(samples, results)):
-        # E_tot = 1, so the scaled and bare gap temperatures coincide; no
-        # crossing (None) reads -inf like a zero gap
-        if not zero[k]:
-            levels = np.array([0.0, e1, e2, 1.0])
-            temps[k] = entanglement_gap_temperature(levels, res.value) or -np.inf
+    t = entanglement_gap_temperature(levels[~zero], values[~zero])
+    temps[~zero] = np.where(np.isnan(t), -np.inf, t)
     deviations = [
         abs(seesaw_upper(h, restarts=8, seed=i)[0] - res.value)
         for i, h, res in zip(indices, hs, results)

@@ -33,6 +33,17 @@ def test_gap_output_is_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
+def test_the_parser_is_built_once_and_keeps_no_setting_between_calls(capsys):
+    from entgap.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ("gap", "--model", "heisenberg", "--restarts", "1", "--json")
+    _, seeded, _ = run_cli(capsys, *argv, "--seed", "4")
+    _, default, _ = run_cli(capsys, *argv)
+    _, seed_0, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert default == seed_0 != seeded
+
+
 def test_gap_on_lattice(capsys):
     code, out, _ = run_cli(
         capsys, "gap", "--model", "heisenberg", "--lattice", "star:3",

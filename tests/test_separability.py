@@ -79,6 +79,8 @@ def test_seesaw_reports_every_restarts_sweeps_and_the_capped_ones():
     capped = [r for r, n in enumerate(run.sweeps) if n == MAX_SWEEPS]
     assert capped == [1, 2, 12, 14]
     assert all(12 <= n <= 17 for r, n in enumerate(run.sweeps) if r not in capped)
+    assert run.sweeps == (15, 500, 500, 12, 15, 13, 17, 13, 13, 16, 14, 15, 500, 14, 500, 15)
+    assert run.best == 5
     assert run.best not in capped and run.energies[run.best] == energy
     assert len(run.steps) == run.sweeps[run.best] * 2
     assert np.all(np.diff(np.asarray(run.steps)) <= 1e-12)
@@ -133,9 +135,11 @@ def _random_operator(dims, seed):
         (lambda: assemble(LatticeSpec.complete(3), heisenberg_pair()).dense, 16),
         (lambda: assemble(LatticeSpec.star(4), heisenberg_pair()).dense, 16),
         (lambda: from_identifier("choi"), 1),
+        # every ground level is degenerate here, so each update takes the tie-break
+        (lambda: from_identifier("symproj:3"), 16),
     ],
     ids=["choi", "ces4", "upb", "heisenberg", "rand2x4", "rand3x4", "complete3", "star4",
-         "choi-one-restart"],
+         "choi-one-restart", "symproj3"],
 )
 def test_batched_seesaw_matches_one_restart_at_a_time(build, restarts):
     h = build()

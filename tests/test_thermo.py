@@ -116,19 +116,73 @@ def test_bisections_stop_once_no_float_lies_between_the_ends(monkeypatch):
 
     spec = eig(choi_hamiltonian())
     t_default = entanglement_gap_temperature(spec.eigenvalues, 0.0)
-    energy, ppt = thermo.thermal_energy, thermo.is_gibbs_ppt
-    monkeypatch.setattr(thermo, "thermal_energy", lambda w, t: calls.append(t) or energy(w, t))
+    energy, ppt = thermo._thermal_energies, thermo.is_gibbs_ppt
+    monkeypatch.setattr(thermo, "_thermal_energies", lambda w, t: calls.append(t) or energy(w, t))
     calls.clear()
     t = entanglement_gap_temperature(spec.eigenvalues, 0.0, tol=1e-300)
     assert t == pytest.approx(t_default, abs=1e-9)
     assert len(calls) <= 3 + 64  # three to bracket the crossing, then the halvings
 
-    monkeypatch.setattr(thermo, "thermal_energy", energy)
+    monkeypatch.setattr(thermo, "_thermal_energies", energy)
     monkeypatch.setattr(thermo, "is_gibbs_ppt", lambda s, t: calls.append(t) or ppt(s, t))
     calls.clear()
     window = bound_entanglement_window(spec, 0.0, t_min=1.0, t_max=1.5, refine_tol=1e-300)
     assert window == pytest.approx((1.256, 1.271), abs=0.01)
     assert len(calls) <= 80 + 2 * 64  # the grid, then both refined ends
+
+
+def _scalar_gap_temperature(w, e_sep, tol):
+    """The one-spectrum bisection the stacked one replaced, with its own
+    copy of the thermal-energy formula."""
+    from entgap.thermo import BISECT_CAP
+
+    def energy(t):
+        weights = np.exp(-(1.0 / t) * (w - w.min()))
+        return float((w * weights).sum() / weights.sum())
+
+    if not (float(w.min()) < e_sep < float(w.mean())):
+        return None
+    t_lo, t_hi = 1e-6, 1.0
+    for _ in range(BISECT_CAP):
+        if energy(t_lo) < e_sep:
+            break
+        t_lo /= 2
+    for _ in range(BISECT_CAP):
+        if energy(t_hi) > e_sep:
+            break
+        t_hi *= 2
+    for _ in range(BISECT_CAP):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if t_mid in (t_lo, t_hi):
+            break
+        u = energy(t_mid)
+        if abs(u - e_sep) <= tol:
+            return t_mid
+        if u < e_sep:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    return 0.5 * (t_lo + t_hi)
+
+
+@pytest.mark.parametrize("n_levels", [4, 9, 16])
+@pytest.mark.parametrize("tol", [1e-10, 1e-300])
+def test_stacked_gap_temperatures_equal_one_spectrum_at_a_time(n_levels, tol):
+    """Every row of one stacked bisection is bitwise the scalar loop's
+    result, NaN where that gives None: crossing and no-crossing rows mixed,
+    e_sep at E0 and at the mean, and tol=1e-300, where every row stops on
+    float spacing."""
+    rng = np.random.default_rng(n_levels)
+    w = rng.normal(size=(60, n_levels)) * rng.uniform(0.1, 10.0, size=(60, 1))
+    e0, mean = w.min(axis=1), w.mean(axis=1)
+    e_sep = e0 + rng.uniform(-0.2, 1.2, 60) * (mean - e0)
+    e_sep[:3], e_sep[3:6] = e0[:3], mean[3:6]
+    stacked = entanglement_gap_temperature(w, e_sep, tol=tol)
+    reference = [_scalar_gap_temperature(row, e, tol) for row, e in zip(w, e_sep)]
+    assert 0 < reference.count(None) < 40
+    for t, ref, row, e in zip(stacked, reference, w, e_sep):
+        assert (np.isnan(t) and ref is None) or t == ref
+        assert entanglement_gap_temperature(row, e, tol=tol) == ref
 
 
 def test_gap_temperature_no_finite_solution():
