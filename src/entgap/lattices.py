@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .models import parse_identifier
 from .operators import (
@@ -23,6 +23,9 @@ from .operators import (
     json_int,
     partial_trace,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MAX_SIDE = 2 ** 20
 
@@ -168,6 +171,8 @@ def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.cs
     with digits (q // d, q % d) on (i, j) to the one with (p // d, p % d)
     there and the same other digits.
     """
+    from scipy import sparse
+
     d, n = spec.local_dim, spec.n_sites
     # int32 indices: MAX_SIDE keeps every index below 2**31
     free = np.arange(spec.dim, dtype=np.int32).reshape((d,) * n)[
@@ -185,6 +190,8 @@ def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.cs
 def assemble(spec: LatticeSpec, coupling: HermitianOperator) -> AssembledLattice:
     """Embed the two-site coupling on every bond of the lattice and sum
     the bond matrices in bond order."""
+    from scipy import sparse
+
     if coupling.n_subsystems != 2 or coupling.dims[0] != coupling.dims[1]:
         raise ValueError("coupling must act on two factors of equal dimension")
     if coupling.dims[0] != spec.local_dim:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -248,6 +247,8 @@ def lanczos_ground(
     until it drops below ``tol``.  Raises :class:`LanczosError` (carrying
     the residual reached) once ``max_iter`` matrix applications are spent.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = op.dimension

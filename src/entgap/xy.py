@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .separability import ProductState
 
@@ -73,6 +72,8 @@ def dispersion(k, gamma: float, lam: float):
 def _bz_average(gamma: float, lam: float) -> float:
     """Brillouin-zone average of half the dispersion, with quadrature
     break points at the kinks where the dispersion touches zero."""
+    from scipy.integrate import quad
+
     points = []
     if gamma == 0.0 and abs(lam) <= 1.0:
         points.append(float(np.arccos(-lam)))

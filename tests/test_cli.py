@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entgap
 from entgap.cli import main
 
 
@@ -639,3 +644,60 @@ def test_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["e0"] == pytest.approx(-3.0, abs=1e-9)
+
+
+ON_DEMAND = ("scipy.sparse", "scipy.sparse.linalg", "scipy.integrate")
+
+
+def _fresh_process(code: str) -> dict:
+    """Run ``code`` in a new interpreter that imports this entgap; it
+    prints one JSON line."""
+    paths = [str(Path(entgap.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_few_body_commands_leave_sparse_arpack_and_quadrature_unloaded():
+    argvs = [
+        ["gap", "--model", "heisenberg", "--json"],
+        ["temp", "--model", "choi", "--json"],
+        ["window", "--model", "upb:tiles", "--json"],
+        ["search-2q", "--samples", "50", "--workers", "1", "--json"],
+    ]
+    out = _fresh_process(f"""
+import contextlib, io, json, sys
+from entgap.cli import main
+codes = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({{"codes": codes, "loaded": [m for m in {ON_DEMAND!r} if m in sys.modules]}}))
+""")
+    assert out == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_lanczos_and_the_xy_surface_load_what_they_need_on_first_use():
+    out = _fresh_process(f"""
+import json, sys
+import numpy as np
+from entgap.lattices import LatticeSpec, assemble
+from entgap.models import heisenberg_pair
+from entgap.operators import lanczos_ground
+from entgap.xy import xy_gap_surface
+before = [m for m in {ON_DEMAND!r} if m in sys.modules]
+asm = assemble(LatticeSpec.ring(8), heisenberg_pair())
+e0, _ = lanczos_ground(asm.matrix_free)
+surface = xy_gap_surface([0.5, 1.0], [0.5, 1.5])
+print(json.dumps({{
+    "before": before,
+    "after": [m for m in {ON_DEMAND!r} if m in sys.modules],
+    "e0_error": abs(e0 - np.linalg.eigvalsh(asm.matrix.toarray())[0]),
+    "points": len(surface),
+}}))
+""")
+    assert out["before"] == []
+    assert out["after"] == list(ON_DEMAND)
+    assert out["e0_error"] < 1e-9
+    assert out["points"] == 4
