@@ -31,8 +31,8 @@ state = report.sep.witness_state
 print(f"optimal product factors overlap |<A|B>| = "
       f"{abs(np.vdot(state.locals[0], state.locals[1])):.2e}  (orthogonal)")
 
-z = build_witness(h, report.sep.upper)
-print(f"witness Z = H - E_sep I has eigenvalues {np.round(np.linalg.eigvalsh(z.matrix), 6)}")
+z = build_witness(h, report.witness_offset)
+print(f"witness Z = H - E_sep_lower I has eigenvalues {np.round(np.linalg.eigvalsh(z.matrix), 6)}")
 print("negative direction <=> states certified entangled by energy alone")
 
 print()

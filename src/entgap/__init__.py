@@ -11,11 +11,9 @@ from .operators import (
     MatrixFreeOperator,
     Spectrum,
     eig,
-    kron,
     lanczos_ground,
     operator_from_json,
     operator_to_json,
-    partial_trace,
 )
 from .models import (
     ces_hamiltonian,
@@ -33,7 +31,6 @@ from .lattices import (
     LatticeSpec,
     REFERENCE_ENERGIES,
     assemble,
-    bond_energy_decomposition,
     star_ground_energy_heisenberg,
 )
 from .sdp import PPTResult, solve_ppt_sdp, solve_ppt_sdp_batch
@@ -43,7 +40,6 @@ from .separability import (
     SepBracket,
     build_witness,
     entanglement_gap,
-    geometric_overlap,
     ppt_lower,
     seesaw_upper,
     sep_bracket,

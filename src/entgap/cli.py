@@ -258,7 +258,9 @@ def cmd_xy_scan(args, cfg: RunConfig) -> int:
         # the surface went to the file; stdout gets its JSON summary line
         _emit(replace(cfg, output="json"), {"points": len(rows), "out": args.out}, [])
     else:
-        _emit(cfg, {"rows": rows}, rows)
+        _emit(cfg, {"rows": rows}, rows, [
+            f"{len(rows)} points on gamma {args.gamma} x lambda {args.lambda_grid}"
+        ])
     return 0
 
 
@@ -281,7 +283,15 @@ def cmd_compare_temps(args, cfg: RunConfig) -> int:
     flat = [{"d": r["d"], "t_maxent": r["t_maxent"], "t_symproj": r["t_symproj"],
              "t_ces_lower": r["t_ces_bracket"][0], "t_ces_upper": r["t_ces_bracket"][1]}
             for r in rows]
-    _emit(cfg, {"rows": rows}, flat)
+
+    def fmt(t):  # a temperature is None where the thermal energy never reaches E_sep
+        return "none" if t is None else f"{t:.9g}"
+
+    _emit(cfg, {"rows": rows}, flat, [
+        f"d={r['d']}: t_maxent = {fmt(r['t_maxent'])}   t_symproj = {fmt(r['t_symproj'])}   "
+        f"t_ces in [{fmt(r['t_ces_lower'])}, {fmt(r['t_ces_upper'])}]"
+        for r in flat
+    ])
     return 0
 
 

@@ -16,13 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .models import parse_identifier
-from .operators import (
-    DENSE_CUTOFF,
-    HermitianOperator,
-    MatrixFreeOperator,
-    json_int,
-    partial_trace,
-)
+from .operators import DENSE_CUTOFF, HermitianOperator, MatrixFreeOperator, json_int
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -218,27 +212,6 @@ def star_ground_energy_heisenberg(k: int) -> float:
     if k < 1:
         raise ValueError("star needs k >= 1")
     return -(k + 2.0)
-
-
-def bond_energy_decomposition(
-    assembled: AssembledLattice, rho: HermitianOperator
-) -> list[float]:
-    """Per-bond energies tr[H_ij rho_ij]; they sum to the total energy
-    because a 2-local energy only sees the pair marginals."""
-    if rho.dims != assembled.matrix_free.dims:
-        raise ValueError("state dimensions do not match the lattice")
-    tr = float(np.real(np.trace(rho.matrix)))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"state trace {tr} is not 1")
-    lam_min = float(np.linalg.eigvalsh(rho.matrix)[0])
-    if lam_min < -1e-10:
-        raise ValueError(f"state has negative eigenvalue {lam_min}")
-    energies = []
-    h2 = assembled.coupling.matrix
-    for (i, j) in assembled.spec.bonds:
-        rho_ij = partial_trace(rho, (i, j))
-        energies.append(float(np.real(np.vdot(h2.conj().T, rho_ij.matrix))))
-    return energies
 
 
 # Ground-state energies per bond for the Heisenberg antiferromagnet on

@@ -81,31 +81,6 @@ class HermitianOperator:
     def n_subsystems(self) -> int:
         return len(self.dims)
 
-    def __add__(self, other):
-        if isinstance(other, HermitianOperator):
-            if other.dims != self.dims:
-                raise ValueError("dimension mismatch")
-            return HermitianOperator(self.matrix + other.matrix, self.dims)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, HermitianOperator):
-            if other.dims != self.dims:
-                raise ValueError("dimension mismatch")
-            return HermitianOperator(self.matrix - other.matrix, self.dims)
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        return HermitianOperator(self.matrix * float(scalar), self.dims)
-
-    __rmul__ = __mul__
-
-    def shift(self, offset: float) -> "HermitianOperator":
-        """Return self + offset * identity."""
-        return HermitianOperator(
-            self.matrix + float(offset) * np.eye(self.dim), self.dims
-        )
-
     def expectation(self, vector: np.ndarray) -> float:
         """Real expectation value <v|H|v> of a (normalized) state vector."""
         v = np.asarray(vector, dtype=complex).ravel()
@@ -132,46 +107,18 @@ class Spectrum:
     def e_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def ground_vector(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
 
 @dataclass(frozen=True)
 class MatrixFreeOperator:
     """Hermitian operator given by its action on vectors.
 
-    ``apply`` must be linear and Hermitian; ``check`` probes both on
-    random vector pairs and is used by the test suite rather than on
+    ``apply`` must be linear and Hermitian; nothing checks either on
     construction (an apply can be expensive).
     """
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
     dims: tuple = field(default=())
-
-    def check(self, rng: np.random.Generator, n_pairs: int = 5, tol: float = 1e-10):
-        for _ in range(n_pairs):
-            x = random_state_vector(self.dimension, rng)
-            y = random_state_vector(self.dimension, rng)
-            a, b = rng.standard_normal(2)
-            lin = self.apply(a * x + b * y) - a * self.apply(x) - b * self.apply(y)
-            if np.linalg.norm(lin) > tol * self.dimension:
-                raise ValueError("apply is not linear")
-            herm = np.vdot(x, self.apply(y)) - np.vdot(self.apply(x), y)
-            if abs(herm) > tol * self.dimension:
-                raise ValueError("apply is not Hermitian")
-        return True
-
-
-def identity(dims: Sequence[int]) -> HermitianOperator:
-    """Identity operator with the given factorization."""
-    side = int(np.prod(tuple(dims)))
-    return HermitianOperator(np.eye(side), dims)
-
-
-def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Tensor product; dims concatenate, subsystem order a then b."""
-    return HermitianOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def partial_transpose_matrix(matrix: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -180,26 +127,6 @@ def partial_transpose_matrix(matrix: np.ndarray, da: int, db: int) -> np.ndarray
     batch = matrix.shape[:-2]
     t = matrix.reshape(batch + (da, db, da, db)).swapaxes(-4, -2)
     return t.reshape(batch + (da * db, da * db))
-
-
-def partial_trace(m: HermitianOperator, keep: Sequence[int]) -> HermitianOperator:
-    """Trace out all subsystems not in ``keep`` (kept order preserved)."""
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    if any(k < 0 or k >= m.n_subsystems for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {m.n_subsystems} subsystems")
-    k = m.n_subsystems
-    traced = [i for i in range(k) if i not in keep]
-    t = m.matrix.reshape(m.dims + m.dims)
-    # contract row/column axes of each traced subsystem
-    for count, i in enumerate(traced):
-        ax = i - count  # axes shift left as we trace
-        n_ax = t.ndim
-        t = np.trace(t, axis1=ax, axis2=ax + n_ax // 2)
-    new_dims = [m.dims[i] for i in keep]
-    side = int(np.prod(new_dims))
-    return HermitianOperator(t.reshape(side, side), new_dims)
 
 
 def eig(m: HermitianOperator) -> Spectrum:
@@ -217,11 +144,6 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state: normal components, then normalize."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (a + a.conj().T) / 2
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -227,11 +227,11 @@ def entanglement_gap(
 ) -> GapReport:
     """Full report: spectrum extremes, separable bracket, gap interval.
 
-    The witness offset is the (conservative) seesaw upper bound, so the
-    induced witness H - offset*I is non-negative on every product state
-    actually found; energies below the PPT lower bound certify
-    entanglement outright.  The bracket goes first, so an operator whose
-    PPT solve cannot fit in memory is refused before it is decomposed.
+    The witness offset is the certified PPT lower bound, so the induced
+    witness H - offset*I is non-negative on every product state, whether
+    or not the seesaw found it; a negative expectation certifies
+    entanglement.  The bracket goes first, so an operator whose PPT
+    solve cannot fit in memory is refused before it is decomposed.
     """
     sep = sep_bracket(h, restarts=restarts, seed=seed, gap_tol=gap_tol)
     spec = eig(h)
@@ -247,22 +247,11 @@ def entanglement_gap(
         gap_upper=gap_hi,
         scaled_gap_lower=gap_lo / e_tot if e_tot > 0 else 0.0,
         scaled_gap_upper=gap_hi / e_tot if e_tot > 0 else 0.0,
-        witness_offset=sep.upper,
+        witness_offset=sep.lower,
     )
-
-
-def geometric_overlap(psi: np.ndarray, dims: tuple[int, int]) -> float:
-    """Largest squared Schmidt coefficient: the maximum overlap between a
-    bipartite pure state and any product state."""
-    da, db = dims
-    v = np.asarray(psi, dtype=complex).ravel()
-    if v.size != da * db:
-        raise ValueError("state size does not match dims")
-    s = np.linalg.svd(v.reshape(da, db), compute_uv=False)
-    return float(s[0] ** 2)
 
 
 def build_witness(h: HermitianOperator, e_sep: float) -> HermitianOperator:
     """Witness Z = H - e_sep * I; non-negative on separable states when
     e_sep lower-bounds the separable minimum."""
-    return h.shift(-float(e_sep))
+    return HermitianOperator(h.matrix - float(e_sep) * np.eye(h.dim), h.dims)

@@ -51,59 +51,6 @@ def family_hamiltonian(e1: float, e2: float, basis: np.ndarray) -> HermitianOper
     return HermitianOperator(m, (2, 2))
 
 
-def takagi2(m: np.ndarray):
-    """Takagi factorization M = Q diag(s) Q^T of a complex symmetric 2x2
-    matrix, s >= 0 descending, Q unitary.
-
-    Uses the real embedding [[X, Y], [Y, -X]] for M = X + iY: its
-    eigenvector (x; y) at eigenvalue s gives M conj(q) = s q for
-    q = x + iy, which is the Takagi condition.  Robust to degenerate
-    singular values, which phase-fixing tricks on the SVD are not.
-    """
-    m = np.asarray(m, dtype=complex)
-    m = (m + m.T) / 2
-    x, y = m.real, m.imag
-    k = np.block([[x, y], [y, -x]])
-    w, v = np.linalg.eigh(k)
-    # take the two non-negative branches, largest first
-    q = np.zeros((2, 2), dtype=complex)
-    s = np.zeros(2)
-    cols = [3, 2]
-    for out, col in enumerate(cols):
-        s[out] = w[col]
-        q[:, out] = v[:2, col] + 1j * v[2:, col]
-    # degenerate pairs can come out non-orthogonal in the complex sense
-    overlap = np.vdot(q[:, 0], q[:, 1])
-    if abs(overlap) > 1e-10:
-        q[:, 1] -= q[:, 0] * overlap
-        q[:, 1] /= np.linalg.norm(q[:, 1])
-    if np.max(np.abs(q @ np.diag(s) @ q.T - m)) > 1e-8:
-        raise RuntimeError("Takagi factorization failed")
-    return q, s
-
-
-def schmidt_plus_minus_product(psi: np.ndarray) -> np.ndarray:
-    """Product state built on the symmetric-Schmidt basis of a two-qubit
-    symmetric state |psi> = s0 |q0 q0> + s1 |q1 q1>.
-
-    The pair (|q0> + i|q1>)/sqrt(2), (|q0> - i|q1>)/sqrt(2) puts half its
-    weight on the singlet and the other half on (|q0 q0> + |q1 q1>)/sqrt(2),
-    so against a singlet-ground Hamiltonian with |psi> at energy E1 its
-    energy is at most (E1 + 1)/4."""
-    q, _ = takagi2(np.asarray(psi, dtype=complex).reshape(2, 2))
-    a = (q[:, 0] + 1j * q[:, 1]) / np.sqrt(2)
-    b = (q[:, 0] - 1j * q[:, 1]) / np.sqrt(2)
-    return np.kron(a, b)
-
-
-def top_state_product(psi: np.ndarray) -> np.ndarray:
-    """Product |q0> (x) |q1> of the symmetric-Schmidt vectors of the top
-    eigenstate: zero overlap with it, half weight on the singlet, so its
-    energy under a singlet-ground Hamiltonian is at most E2/2."""
-    q, _ = takagi2(np.asarray(psi, dtype=complex).reshape(2, 2))
-    return np.kron(q[:, 0], q[:, 1])
-
-
 def e2_bounds(e1: float, tol: float = 1e-10):
     """The two transcendental curves bounding E2 at fixed E1.
 

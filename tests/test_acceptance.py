@@ -17,7 +17,7 @@ from entgap.models import (
     symmetric_projector_hamiltonian,
     upb_hamiltonian,
 )
-from entgap.operators import HermitianOperator, eig, random_hermitian, random_unitary
+from entgap.operators import HermitianOperator, eig, random_unitary
 from entgap.separability import (
     entanglement_gap,
     ppt_lower,
@@ -32,6 +32,7 @@ from entgap.thermo import (
 )
 from entgap.twoqubit import AFM_SCALED_T, random_search
 from entgap.xy import xy_chain_energy_extrema, xy_gap_surface, xy_sep_energy
+from helpers import bond_energy_decomposition, random_hermitian
 from test_xy import xy_sep_energy_numeric
 
 
@@ -316,7 +317,6 @@ def test_criterion_9_property_suites():
     from entgap.operators import partial_transpose_matrix
     h6 = random_hermitian(6, rng)
     ok &= np.max(np.abs(partial_transpose_matrix(partial_transpose_matrix(h6, 2, 3), 2, 3) - h6)) < 1e-12
-    from entgap.lattices import bond_energy_decomposition
     asm = assemble(LatticeSpec.ring(4), heisenberg_pair())
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     rho_m = a @ a.conj().T

@@ -618,6 +618,8 @@ def test_pretty_ends_with_the_json_line(argv, capsys):
     assert code == 0
     assert as_json.count("\n") == 1
     assert pretty.splitlines()[-1] + "\n" == as_json
+    # every command's pretty form has text before its JSON line
+    assert pretty.splitlines()[0].strip() and len(pretty.splitlines()) > 1
 
 
 def test_temp_bisect_tol_sets_both_gap_temperatures(capsys):

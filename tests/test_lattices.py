@@ -9,7 +9,6 @@ from entgap.lattices import (
     REFERENCE_ENERGIES,
     _bond_matrix,
     assemble,
-    bond_energy_decomposition,
     star_ground_energy_heisenberg,
 )
 from entgap.models import SIGMA_X, SIGMA_Y, heisenberg_pair, xxz_pair, xy_pair
@@ -17,12 +16,10 @@ from entgap.operators import (
     HermitianOperator,
     MatrixFreeOperator,
     eig,
-    identity,
-    kron,
     lanczos_ground,
-    random_hermitian,
     random_state_vector,
 )
+from helpers import bond_energy_decomposition, check_matrix_free, random_hermitian
 
 
 def test_generator_bond_counts():
@@ -91,7 +88,7 @@ def test_assembly_matches_kron_embedding_oracle(spec):
         # coupling on factors 0, 1 of the kron; move them to sites i, j
         rest = iter(range(2, n))
         order = [0 if k == i else 1 if k == j else next(rest) for k in range(n)]
-        embedded = kron(coupling, identity((3,) * (n - 2))).matrix
+        embedded = np.kron(coupling.matrix, np.eye(3 ** (n - 2)))
         t = embedded.reshape((3,) * (2 * n)).transpose(order + [n + k for k in order])
         expected += t.reshape(spec.dim, spec.dim)
     asm = assemble(spec, coupling)
@@ -148,7 +145,7 @@ def test_lanczos_is_bitwise_the_same_on_an_operator_rebuilt_from_its_apply(coupl
 def test_matrix_free_agrees_with_dense():
     rng = np.random.default_rng(0)
     asm = assemble(LatticeSpec.ring(5), xy_pair(0.7, 0.3))
-    asm.matrix_free.check(rng)
+    check_matrix_free(asm.matrix_free, rng)
     for _ in range(5):
         v = random_state_vector(asm.spec.dim, rng)
         assert np.linalg.norm(asm.matrix_free.apply(v) - asm.dense.matrix @ v) < 1e-10
@@ -223,7 +220,7 @@ def test_bond_energy_decomposition_ring4():
     h = heisenberg_pair()
     asm = assemble(LatticeSpec.ring(4), h)
     spectrum = eig(asm.dense)
-    ground = spectrum.ground_vector()
+    ground = spectrum.eigenvectors[:, 0]
     rho = HermitianOperator(np.outer(ground, ground.conj()), asm.matrix_free.dims)
     energies = bond_energy_decomposition(asm, rho)
     assert np.allclose(energies, [-2.0] * 4, atol=1e-9)

@@ -24,7 +24,8 @@ from entgap.models import (
     xy_pair,
 )
 from entgap.operators import eig, random_state_vector
-from entgap.separability import geometric_overlap, seesaw_upper
+from entgap.separability import seesaw_upper
+from helpers import geometric_overlap
 
 
 def test_heisenberg_spectrum_and_singlet_identity():
@@ -56,7 +57,7 @@ def test_max_entangled_projector_spectra():
         h = max_entangled_projector_hamiltonian(d)
         w = np.linalg.eigvalsh(h.matrix)
         assert np.allclose(w, [0.0] + [1.0] * (d * d - 1), atol=1e-12)
-    ground = eig(max_entangled_projector_hamiltonian(3)).ground_vector()
+    ground = eig(max_entangled_projector_hamiltonian(3)).eigenvectors[:, 0]
     assert geometric_overlap(ground, (3, 3)) == pytest.approx(1 / 3, abs=1e-12)
     with pytest.raises(ValueError):
         max_entangled_projector_hamiltonian(1)

@@ -8,17 +8,14 @@ from entgap.operators import (
     LanczosError,
     MatrixFreeOperator,
     eig,
-    identity,
-    kron,
     lanczos_ground,
     operator_from_json,
     operator_to_json,
-    partial_trace,
     partial_transpose_matrix,
-    random_hermitian,
     random_state_vector,
 )
 from entgap.models import SIGMA_X, SIGMA_Y, SIGMA_Z, heisenberg_pair, singlet
+from helpers import check_matrix_free, partial_trace, random_hermitian
 
 
 def op2(matrix):
@@ -71,17 +68,15 @@ def test_operator_is_immutable():
 
 
 def test_kron_identity_and_pauli():
-    i2 = op2(np.eye(2))
-    assert np.allclose(kron(i2, i2).matrix, np.eye(4))
-    zz = kron(op2(SIGMA_Z), op2(SIGMA_Z))
+    assert np.allclose(HermitianOperator(np.kron(np.eye(2), np.eye(2)), (2, 2)).matrix, np.eye(4))
+    zz = HermitianOperator(np.kron(SIGMA_Z, SIGMA_Z), (2, 2))
     assert sorted(np.linalg.eigvalsh(zz.matrix)) == pytest.approx([-1, -1, 1, 1])
 
 
 def test_kron_heisenberg_spectrum():
-    total = (
-        kron(op2(SIGMA_X), op2(SIGMA_X))
-        + kron(op2(SIGMA_Y), op2(SIGMA_Y))
-        + kron(op2(SIGMA_Z), op2(SIGMA_Z))
+    total = HermitianOperator(
+        np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z),
+        (2, 2),
     )
     assert np.allclose(np.linalg.eigvalsh(total.matrix), [-3, 1, 1, 1])
 
@@ -127,7 +122,7 @@ def test_partial_trace_product_and_marginal():
     rng = np.random.default_rng(2)
     a = random_hermitian(2, rng)
     b = random_hermitian(3, rng)
-    ab = kron(HermitianOperator(a, (2,)), HermitianOperator(b, (3,)))
+    ab = HermitianOperator(np.kron(a, b), (2, 3))
     got = partial_trace(ab, [0])
     assert np.max(np.abs(got.matrix - a * np.trace(b))) < 1e-12
     # maximally entangled marginal is maximally mixed
@@ -177,10 +172,11 @@ def test_eig_rejects_oversize(monkeypatch):
 
 def test_matrix_free_check_passes_and_detects_violation():
     m = heisenberg_pair().matrix
-    MatrixFreeOperator(dimension=4, apply=lambda v: m @ v).check(np.random.default_rng(0))
+    check_matrix_free(MatrixFreeOperator(dimension=4, apply=lambda v: m @ v),
+                      np.random.default_rng(0))
     bad = MatrixFreeOperator(dimension=4, apply=lambda v: v * np.arange(4) + 1.0)
     with pytest.raises(ValueError):
-        bad.check(np.random.default_rng(0))
+        check_matrix_free(bad, np.random.default_rng(0))
 
 
 def test_lanczos_identity_operator():
@@ -240,7 +236,3 @@ def test_json_round_trip_and_validation():
         operator_from_json(json.dumps(payload))
     with pytest.raises(ValueError):
         operator_from_json(json.dumps({"dims": [2, 2]}))
-
-
-def test_identity_helper():
-    assert np.allclose(identity((2, 3)).matrix, np.eye(6))

@@ -10,10 +10,11 @@ from entgap.models import (
     upb_hamiltonian,
 )
 from entgap.lattices import LatticeSpec, assemble
-from entgap.operators import HermitianOperator, partial_transpose_matrix, random_hermitian
+from entgap.operators import HermitianOperator, partial_transpose_matrix
 from entgap import sdp
 from entgap.separability import ppt_lower
 from entgap.sdp import solve_ppt_sdp, solve_ppt_sdp_batch
+from helpers import random_hermitian
 
 
 def random_two_qubit(seed):

@@ -8,7 +8,7 @@ from entgap.models import (
     symmetric_projector_hamiltonian,
     upb_hamiltonian,
 )
-from entgap.operators import HermitianOperator, eig, random_hermitian
+from entgap.operators import HermitianOperator, eig
 from entgap.separability import seesaw_upper
 from entgap.thermo import (
     ThermalCurve,
@@ -21,6 +21,7 @@ from entgap.thermo import (
     thermal_curve,
     thermal_energy,
 )
+from helpers import random_hermitian
 
 
 def test_thermal_energy_limits():
