@@ -3,9 +3,10 @@
 
 The transverse-field XY ring is exactly solvable, and its minimum
 separable energy has a closed form, so the entanglement gap across the
-whole (anisotropy, field) plane costs one quadrature per point.  Two
-features stand out: the gap vanishes identically on the disorder circle
-lambda^2 + gamma^2 = 1, and it rises sharply across the quantum
+whole (anisotropy, field) plane costs one Brillouin-zone average per
+point, taken for the whole grid in one vectorized Gauss-Legendre pass.
+Two features stand out: the gap vanishes identically on the disorder
+circle lambda^2 + gamma^2 = 1, and it rises sharply across the quantum
 critical line lambda = 1.  Writes the surface to xy_surface.csv.
 """
 

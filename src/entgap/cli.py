@@ -23,7 +23,10 @@ from .operators import LanczosError, eig
 
 SCHEMA = 1
 OUTPUTS = ("json", "csv", "pretty")
-XY_POINT_BYTES = 2560  # above xy-scan's tracemalloc peak, 2.1 KB/point on 231 points
+# above xy-scan's tracemalloc peak with its output written to a StringIO:
+# 0.90 KB/point on 441 points, where the Brillouin-zone pass's fixed
+# 0.36 MB dominates, and 0.55 KB/point on 20,301
+XY_POINT_BYTES = 1024
 
 
 @dataclass
@@ -73,10 +76,15 @@ def _run_config(args, file_cfg: dict) -> RunConfig:
     return RunConfig(**values)
 
 
-def _write_csv(fh, rows: list[dict]):
-    if rows:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+def _write_csv(fh, rows):
+    """``rows``, any iterable of dicts, as CSV with the first row's keys
+    for its header; nothing when there is no row."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        writer = csv.DictWriter(fh, fieldnames=list(first))
         writer.writeheader()
+        writer.writerow(first)
         writer.writerows(rows)
 
 
@@ -249,18 +257,25 @@ def _parse_grids(*texts: str) -> list[np.ndarray]:
 def cmd_xy_scan(args, cfg: RunConfig) -> int:
     gammas, lams = _parse_grids(args.gamma, args.lambda_grid)
     points = xy.xy_gap_surface(gammas, lams)
-    rows = [{"gamma": p.gamma, "lambda": p.lam, "e_sep": p.e_sep_bond, "e0": p.e0_site,
+    # each row is made and written in turn, so the surface is held once
+    rows = ({"gamma": p.gamma, "lambda": p.lam, "e_sep": p.e_sep_bond, "e0": p.e0_site,
              "e_max": p.e_max_site, "gap": p.gap_bond, "scaled_gap": p.scaled_gap}
-            for p in points]
+            for p in points)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             _write_csv(fh, rows)
         # the surface went to the file; stdout gets its JSON summary line
-        _emit(replace(cfg, output="json"), {"points": len(rows), "out": args.out}, [])
+        _emit(replace(cfg, output="json"), {"points": len(points), "out": args.out}, [])
+    elif cfg.output == "csv":
+        _write_csv(sys.stdout, rows)
     else:
-        _emit(cfg, {"rows": rows}, rows, [
-            f"{len(rows)} points on gamma {args.gamma} x lambda {args.lambda_grid}"
-        ])
+        if cfg.output == "pretty":
+            print(f"{len(points)} points on gamma {args.gamma} x lambda {args.lambda_grid}")
+        # the line _emit prints for {"rows": [...]}, one row at a time
+        sys.stdout.write('{"rows": [')
+        for i, row in enumerate(rows):
+            sys.stdout.write((", " if i else "") + json.dumps(row, sort_keys=True))
+        sys.stdout.write(f'], "schema": {SCHEMA}}}\n')
     return 0
 
 

@@ -250,7 +250,7 @@ def test_xy_scan_refuses_a_surface_that_cannot_fit_before_allocating_it(capsys):
 def test_xy_scan_counts_the_surface_not_each_grid(monkeypatch, capsys):
     from entgap import sdp, xy
 
-    # 1001 x 2001 points need 5.1 GB at XY_POINT_BYTES each; each grid
+    # 1001 x 2001 points need 2.1 GB at XY_POINT_BYTES each; each grid
     # alone would fit in 16 MiB
     monkeypatch.setattr(sdp, "_physical_memory", lambda: 2**24)
     monkeypatch.setattr(xy, "xy_gap_surface", _fail("xy_gap_surface"))
@@ -648,7 +648,9 @@ def test_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):
     assert json.loads(out)["e0"] == pytest.approx(-3.0, abs=1e-9)
 
 
-ON_DEMAND = ("scipy.sparse", "scipy.sparse.linalg", "scipy.integrate")
+# the SciPy parts that Lanczos loads on first use, and parts no command loads
+ON_DEMAND = ("scipy.sparse", "scipy.sparse.linalg")
+UNUSED = ("scipy.integrate", "scipy.special", "scipy.optimize")
 
 
 def _fresh_process(code: str) -> dict:
@@ -675,7 +677,7 @@ codes = []
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({{"codes": codes, "loaded": [m for m in {ON_DEMAND!r} if m in sys.modules]}}))
+print(json.dumps({{"codes": codes, "loaded": [m for m in {ON_DEMAND + UNUSED!r} if m in sys.modules]}}))
 """)
     assert out == {"codes": [0, 0, 0, 0], "loaded": []}
 
@@ -688,18 +690,24 @@ from entgap.lattices import LatticeSpec, assemble
 from entgap.models import heisenberg_pair
 from entgap.operators import lanczos_ground
 from entgap.xy import xy_gap_surface
-before = [m for m in {ON_DEMAND!r} if m in sys.modules]
+def loaded():
+    return [m for m in {ON_DEMAND + UNUSED!r} if m in sys.modules]
+before = loaded()
+surface = xy_gap_surface([0.5, 1.0], [0.5, 1.5])
+after_xy = loaded()
 asm = assemble(LatticeSpec.ring(8), heisenberg_pair())
 e0, _ = lanczos_ground(asm.matrix_free)
-surface = xy_gap_surface([0.5, 1.0], [0.5, 1.5])
 print(json.dumps({{
     "before": before,
-    "after": [m for m in {ON_DEMAND!r} if m in sys.modules],
+    "after_xy": after_xy,
+    "after_lanczos": loaded(),
     "e0_error": abs(e0 - np.linalg.eigvalsh(asm.matrix.toarray())[0]),
     "points": len(surface),
 }}))
 """)
     assert out["before"] == []
-    assert out["after"] == list(ON_DEMAND)
+    # the XY surface runs on numpy alone
+    assert out["after_xy"] == []
+    assert out["after_lanczos"] == list(ON_DEMAND)
     assert out["e0_error"] < 1e-9
     assert out["points"] == 4

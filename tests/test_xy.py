@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import minimize
+from scipy.special import ellipe
 
+from entgap import xy
 from entgap.lattices import LatticeSpec, assemble
 from entgap.models import xy_pair
 from entgap.operators import eig
@@ -147,3 +150,64 @@ def test_dispersion_closes_only_at_critical_points():
         dispersion(np.pi, 0.5, 1.0), 0.0, atol=1e-12
     )
     assert dispersion(k, 0.5, 0.5).min() > 0.1
+
+
+# near the critical line lambda = 1 and the isotropic line gamma = 0, where
+# the dispersion has a kink or a near-kink inside the zone or at its edge
+NEAR_CRITICAL = [(1e-6, 1.0), (1e-3, 1.0), (1e-3, 0.999), (0.05, 1.0), (1e-8, 0.5), (0.0, 1 + 1e-7)]
+
+
+def bz_average_quad(gamma, lam):
+    """Brillouin-zone average of half the dispersion by SciPy's adaptive
+    quadrature, broken where the dispersion closes at gamma = 0; an
+    independent oracle."""
+    val, _ = quad(lambda k: dispersion(k, gamma, lam) / 2, 0.0, np.pi,
+                  points=[np.arccos(-lam)] if abs(lam) <= 1 else None,
+                  epsabs=1e-12, epsrel=1e-12, limit=300)
+    return val / np.pi
+
+
+def test_isotropic_closed_form():
+    """At gamma = 0 the dispersion is 2|lambda + cos k|, whose zone average
+    is (2/pi)(sqrt(1 - lambda^2) + lambda arcsin lambda) for |lambda| <= 1
+    and |lambda| beyond."""
+    lams = np.concatenate([np.linspace(-2.5, 2.5, 51), [1 - 1e-9, 1 + 1e-7, -1 + 1e-12]])
+    inside = np.abs(lams) <= 1
+    closed = np.where(
+        inside,
+        2 / np.pi * (np.sqrt(1 - np.minimum(lams**2, 1)) + lams * np.arcsin(np.clip(lams, -1, 1))),
+        np.abs(lams),
+    )
+    e0 = np.array([p.e0_site for p in xy_gap_surface([0.0], lams)])
+    assert np.max(np.abs(-e0 - closed)) <= 1e-14
+
+
+def test_ising_closed_form():
+    """At gamma = 1 the zone average is (2/pi)(1 + lambda) E(4 lambda / (1 + lambda)^2),
+    E the complete elliptic integral of the second kind in parameter m."""
+    lams = np.concatenate([np.linspace(0.0, 3.0, 61), [1 - 1e-6, 1 + 1e-6]])
+    closed = 2 / np.pi * (1 + lams) * ellipe(4 * lams / (1 + lams) ** 2)
+    e0 = np.array([p.e0_site for p in xy_gap_surface([1.0], lams)])
+    assert np.max(np.abs(-e0 - closed)) <= 1e-14
+
+
+def test_zone_average_matches_scipy_quadrature():
+    gammas, lams = np.arange(0, 1.025, 0.05), np.arange(0, 2.025, 0.05)
+    surface = xy_gap_surface(gammas, lams)
+    worst = max(abs(p.e_max_site - bz_average_quad(p.gamma, p.lam)) for p in surface)
+    assert worst <= 1e-13
+    for g, l in NEAR_CRITICAL:
+        e0, e_max = xy_chain_energy_extrema(g, l)
+        assert e_max == -e0
+        assert abs(e_max - bz_average_quad(g, l)) <= 1e-13
+
+
+def test_capped_refinement_raises(monkeypatch):
+    # (1e-3, 1) needs 10 rounds
+    monkeypatch.setattr(xy, "MAX_ROUNDS", 2)
+    with pytest.raises(RuntimeError, match="after 2 halvings"):
+        xy_chain_energy_extrema(1e-3, 1.0)
+    monkeypatch.undo()
+    # an integrand that overflows never settles; the panel cap stops it
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="panels left"):
+        xy_chain_energy_extrema(0.5, 1e200)
