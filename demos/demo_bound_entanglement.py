@@ -29,9 +29,9 @@ print(f"relaxation gap {up - lo:.4f}: energies in it are PPT yet entangled")
 window = bound_entanglement_window(spec, 0.0, t_min=0.8, t_max=1.8)
 print(f"\nthermal window of bound entanglement: "
       f"[{window[0]:.4f}, {window[1]:.4f}]  (reference ~[1.256, 1.271])")
-for t in (1.20, 1.26, 1.30):
-    u = thermal_energy(spec.eigenvalues, t)
-    print(f"  T={t:.2f}: U = {u:+.4f}  PPT = {is_gibbs_ppt(spec, t)}")
+temps = np.array([1.20, 1.26, 1.30])
+for t, u, ppt in zip(temps, thermal_energy(spec.eigenvalues, temps), is_gibbs_ppt(spec, temps)):
+    print(f"  T={t:.2f}: U = {u:+.4f}  PPT = {ppt}")
 
 print()
 print("=" * 70)

@@ -45,10 +45,10 @@ from .separability import (
     sep_bracket,
 )
 from .thermo import (
-    ThermalCurve,
     bound_entanglement_window,
     entanglement_gap_temperature,
     gibbs_state,
+    is_gibbs_ppt,
     scaled_gap_temperature,
     temperature_comparison,
     thermal_curve,

@@ -23,10 +23,11 @@ from .operators import LanczosError, eig
 
 SCHEMA = 1
 OUTPUTS = ("json", "csv", "pretty")
-# above xy-scan's tracemalloc peak with its output written to a StringIO:
-# 0.90 KB/point on 441 points, where the Brillouin-zone pass's fixed
-# 0.36 MB dominates, and 0.55 KB/point on 20,301
-XY_POINT_BYTES = 1024
+# above xy-scan's tracemalloc peak with its output written to a StringIO,
+# about 0.16 MB (mostly the Brillouin-zone pass's chunk) plus 545 B a point:
+# 396 KB on 441 points and 11.2 MB on 20,301
+XY_BASE_BYTES = 2**19
+XY_POINT_BYTES = 640
 
 
 @dataclass
@@ -148,12 +149,12 @@ def cmd_temp(args, cfg: RunConfig) -> int:
     with np.errstate(invalid="ignore"):
         grid = np.geomspace(args.t_min, args.t_max, args.n_grid)
     spec = eig(h)
-    curve = thermo.thermal_curve(spec, grid)
+    samples = thermo.thermal_curve(spec, grid)
     w = spec.eigenvalues
     t_gap = thermo.entanglement_gap_temperature(w, bracket.upper, tol=cfg.bisect_tol)
     t_scaled = None if t_gap is None else t_gap / (spec.e_max - spec.e0)
     t_lower = thermo.entanglement_gap_temperature(w, bracket.lower, tol=cfg.bisect_tol)
-    rows = [{"T": t, "U": u, "ppt": int(p)} for (t, u, p) in curve.samples]
+    rows = [{"T": t, "U": u, "ppt": int(p)} for (t, u, p) in samples]
     payload = {
         "model": args.model,
         "e_sep_lower": bracket.lower,
@@ -230,8 +231,8 @@ def cmd_table2(args, cfg: RunConfig) -> int:
 def _parse_grids(*texts: str) -> list[np.ndarray]:
     """``start:stop:step`` grids, stop included.  Their points are counted
     before any grid is allocated, and grids whose surface (one point per
-    combination) exceeds physical memory at ``XY_POINT_BYTES`` per point
-    are refused."""
+    combination) exceeds physical memory at ``XY_BASE_BYTES`` plus
+    ``XY_POINT_BYTES`` per point are refused."""
     specs = []
     for text in texts:
         parts = text.split(":")
@@ -245,11 +246,11 @@ def _parse_grids(*texts: str) -> list[np.ndarray]:
         specs.append((start, stop + step / 2, step))
     # the lengths np.arange gives these grids
     points = np.prod([max(0.0, np.ceil((stop - start) / step)) for start, stop, step in specs])
-    need, have = points * XY_POINT_BYTES, sdp._physical_memory()
+    need, have = XY_BASE_BYTES + points * XY_POINT_BYTES, sdp._physical_memory()
     if need > have:
         raise ValueError(
-            f"an xy-scan surface of {points:.0f} points at {XY_POINT_BYTES} bytes each needs "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
+            f"an xy-scan surface of {points:.0f} points needs {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
     return [np.arange(*spec) for spec in specs]
 

@@ -8,7 +8,6 @@ alone.  Monotonicity of U(T) makes every crossing a bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -18,41 +17,37 @@ from .models import (
     max_entangled_projector_hamiltonian,
     symmetric_projector_hamiltonian,
 )
-from .operators import HermitianOperator, Spectrum, eig, partial_transpose_matrix
+from .operators import Spectrum, eig, partial_transpose_matrix
 # ppt_lower stays importable from this module, where perfbench's tracer
 # tests look for it; the comparison reaches it through sep_bracket
 from .separability import ppt_lower, sep_bracket  # noqa: F401
 
 PPT_FLAG_TOL = -1e-10
 BISECT_CAP = 200
+GIBBS_CHUNK = 2**18  # matrix entries in one stack of Gibbs states: 4 MiB of complex128
 
 
-@dataclass(frozen=True)
-class ThermalCurve:
-    """Sampled (T, U, ppt) triples."""
-
-    samples: tuple
-
-    def __post_init__(self):
-        ts = [s[0] for s in self.samples]
-        us = [s[1] for s in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("temperatures must be strictly increasing")
-        if any(b < a - 1e-9 for a, b in zip(us, us[1:])):
-            raise ValueError("thermal energy must be non-decreasing in T")
+def _temperature_axis(temperature) -> np.ndarray:
+    """``temperature`` as a 1-D float array; ValueError unless all are positive."""
+    t = np.atleast_1d(np.asarray(temperature, dtype=float))
+    bad = t[~(t > 0)]
+    if bad.size:
+        raise ValueError(f"temperature must be positive, got {float(bad[0])}")
+    return t
 
 
-def thermal_energy(levels, temperature: float) -> float:
+def thermal_energy(levels, temperature):
     """U(T) = sum_i E_i exp(-E_i/T) / sum_i exp(-E_i/T) over the energy
-    levels, with the usual max-shift for stability."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    w = np.asarray(levels, dtype=float)
-    return float(_thermal_energies(w[None], np.array([temperature]))[0])
+    levels, with the usual max-shift for stability: a float for one
+    temperature, an array for a 1-D array of them."""
+    t = _temperature_axis(temperature)
+    u = _thermal_energies(np.asarray(levels, dtype=float)[None], t)
+    return float(u[0]) if np.ndim(temperature) == 0 else u
 
 
 def _thermal_energies(w: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
-    """U of each row of the (S, L) levels ``w`` at its own temperature."""
+    """U of each row of the (S, L) levels ``w`` at its own temperature;
+    one row of levels (1, L) is shared by every temperature."""
     beta = 1.0 / temperatures
     x = -beta[:, None] * (w - w.min(axis=1, keepdims=True))
     weights = np.exp(x)
@@ -60,15 +55,20 @@ def _thermal_energies(w: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
     return (w * weights).sum(axis=1) / z
 
 
-def gibbs_state(spec: Spectrum, temperature: float) -> HermitianOperator:
-    """Normalized thermal density matrix at the given temperature."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    w = spec.eigenvalues
-    weights = np.exp(-(w - w.min()) / temperature)
-    weights /= weights.sum()
-    rho = (spec.eigenvectors * weights) @ spec.eigenvectors.conj().T
-    return HermitianOperator(rho, spec.dims)
+def _gibbs_stack(spec: Spectrum, t: np.ndarray) -> np.ndarray:
+    """Gibbs states at the 1-D temperatures ``t`` as one (G, n, n) stack."""
+    w, v = spec.eigenvalues, spec.eigenvectors
+    weights = np.exp(-(w - w.min()) / t[:, None])
+    weights /= weights.sum(axis=1, keepdims=True)
+    rho = (v * weights[:, None, :]) @ v.conj().T
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
+
+
+def gibbs_state(spec: Spectrum, temperature) -> np.ndarray:
+    """Normalized thermal density matrix: (n, n) for one temperature,
+    (G, n, n) for a 1-D array of G of them."""
+    rho = _gibbs_stack(spec, _temperature_axis(temperature))
+    return rho[0] if np.ndim(temperature) == 0 else rho
 
 
 def entanglement_gap_temperature(levels, e_sep, tol: float = 1e-10):
@@ -140,25 +140,35 @@ def scaled_gap_temperature(levels, e_sep: float, tol: float = 1e-10) -> float | 
     return None if t is None else t / float(w.max() - w.min())
 
 
-def is_gibbs_ppt(spec: Spectrum, temperature: float) -> bool:
+def is_gibbs_ppt(spec: Spectrum, temperature):
     """Whether the thermal state has a positive partial transpose across
-    the cut between the first factor and the rest."""
-    rho = gibbs_state(spec, temperature).matrix
-    da = spec.dims[0]
-    pt = partial_transpose_matrix(rho, da, rho.shape[0] // da)
-    return float(np.linalg.eigvalsh(pt)[0]) >= PPT_FLAG_TOL
+    the cut between the first factor and the rest: a bool for one
+    temperature, a bool array for a 1-D array of them.  The temperatures
+    go through in stacks of at most ``GIBBS_CHUNK`` matrix entries."""
+    t = _temperature_axis(temperature)
+    n, da = len(spec.eigenvalues), spec.dims[0]
+    step = max(1, GIBBS_CHUNK // (n * n))
+    low = np.empty(t.size)
+    for start in range(0, t.size, step):
+        pt = partial_transpose_matrix(_gibbs_stack(spec, t[start:start + step]), da, n // da)
+        low[start:start + step] = np.linalg.eigvalsh(pt)[:, 0]
+    flags = low >= PPT_FLAG_TOL
+    return bool(flags[0]) if np.ndim(temperature) == 0 else flags
 
 
-def thermal_curve(spec: Spectrum, temperatures) -> ThermalCurve:
-    """Sample (T, U, ppt) on the given grid of finite positive temperatures."""
-    temps = [float(t) for t in temperatures]
-    bad = [t for t in temps if not 0 < t < np.inf]
-    if bad:
-        raise ValueError(f"temperatures must be finite and positive, got {bad[0]}")
-    samples = [
-        (t, thermal_energy(spec.eigenvalues, t), is_gibbs_ppt(spec, t)) for t in temps
-    ]
-    return ThermalCurve(samples=tuple(samples))
+def thermal_curve(spec: Spectrum, temperatures) -> list[tuple[float, float, bool]]:
+    """(T, U, ppt) triples on a strictly increasing grid of finite positive
+    temperatures; ValueError on any other grid, or where U decreases."""
+    t = np.ravel(np.asarray(temperatures, dtype=float))
+    bad = t[~((0 < t) & (t < np.inf))]
+    if bad.size:
+        raise ValueError(f"temperatures must be finite and positive, got {float(bad[0])}")
+    if np.any(t[1:] <= t[:-1]):
+        raise ValueError("temperatures must be strictly increasing")
+    u = thermal_energy(spec.eigenvalues, t)
+    if np.any(u[1:] < u[:-1] - 1e-9):
+        raise ValueError("thermal energy must be non-decreasing in T")
+    return list(zip(t.tolist(), u.tolist(), is_gibbs_ppt(spec, t).tolist()))
 
 
 def bound_entanglement_window(
@@ -192,7 +202,8 @@ def bound_entanglement_window(
         return thermal_energy(spec.eigenvalues, t) < e_sep and is_gibbs_ppt(spec, t)
 
     grid = np.geomspace(t_min, t_max, n_grid)
-    flags = [in_window(float(t)) for t in grid]
+    flags = thermal_energy(spec.eigenvalues, grid) < e_sep
+    flags[flags] = is_gibbs_ppt(spec, grid[flags])
     runs = [list(run) for flag, run in groupby(range(n_grid), flags.__getitem__) if flag]
     if not runs:
         return None

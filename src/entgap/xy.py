@@ -7,10 +7,10 @@ quadratic in fermions; the one-particle energy is
 2*sqrt((l + cos k)^2 + g^2 sin^2 k), and the ground energy per site in
 the thermodynamic limit is minus its average over the Brillouin zone,
 taken by adaptive Gauss-Legendre panels for a whole grid of points at
-once, with numpy alone.
-Ring diagonalization is validated against exact diagonalization of the
-spin problem in the test suite (boundary conventions are where
-derivations die).
+once, with numpy alone.  An N-site ring sums it over each boundary
+(parity) sector's momenta, k = 2 pi m / N and 2 pi (m + 1/2) / N, and
+takes the lower sector; the test suite checks this against exact
+diagonalization (boundary conventions are where derivations die).
 """
 
 from __future__ import annotations
@@ -141,38 +141,14 @@ def _refine(g, l, nodes, weights) -> np.ndarray:
     return total
 
 
-def _ring_quadratic_extrema(gamma: float, lam: float, n: int):
-    """Ground and top energies of the fermion quadratic form, minimized /
-    maximized over the two boundary (parity) sectors."""
-    e0 = np.inf
-    e_max = -np.inf
-    for boundary in (+1.0, -1.0):
-        a = np.zeros((n, n))
-        b = np.zeros((n, n))
-        np.fill_diagonal(a, -2.0 * lam)
-        for j in range(n):
-            jn = (j + 1) % n
-            coeff = boundary if jn == 0 else 1.0
-            a[j, jn] += -1.0 * coeff
-            a[jn, j] += -1.0 * coeff
-            b[j, jn] += -gamma * coeff
-            b[jn, j] += +gamma * coeff
-        m = np.block([[a, b], [-b, -a]])
-        eps = np.linalg.eigvalsh(m)[n:]  # the n non-negative branches
-        const = lam * n + 0.5 * np.trace(a)
-        e0 = min(e0, const - 0.5 * eps.sum())
-        e_max = max(e_max, const + 0.5 * eps.sum())
-    return e0, e_max
-
-
 def xy_chain_energy_extrema(gamma: float, lam: float, mode="thermodynamic"):
     """Per-site ground and maximum energies of the XY ring.
 
     ``mode`` is "thermodynamic" (the one-point case of the adaptive
     Gauss-Legendre average over the Brillouin zone) or ("ring", N) with
-    N even (diagonalize the quadratic fermion form in both boundary
-    sectors and take the extremes).  The spectrum
-    is symmetric about zero, so the top of the band mirrors the bottom.
+    N even (the dispersion summed over each boundary sector's momenta,
+    taking the lower sector).  The spectrum is symmetric about zero, so
+    the top of the band mirrors the bottom.
     """
     if mode == "thermodynamic":
         avg = float(_bz_average(gamma, lam)[0])
@@ -182,8 +158,9 @@ def xy_chain_energy_extrema(gamma: float, lam: float, mode="thermodynamic"):
         raise ValueError(f"unknown mode {mode!r}")
     if n % 2 != 0:
         raise ValueError("ring mode needs even N")
-    e0, e_max = _ring_quadratic_extrema(gamma, lam, n)
-    return e0 / n, e_max / n
+    k = 2 * np.pi * (np.arange(n) + np.array([[0.0], [0.5]])) / n  # each sector's momenta
+    e0 = -0.5 * float(dispersion(k, gamma, lam).sum(axis=1).max()) / n
+    return e0, -e0
 
 
 def xy_gap_surface(gamma_grid, lambda_grid) -> list[XYPoint]:

@@ -9,7 +9,13 @@ from typing import Sequence
 import numpy as np
 
 from entgap.lattices import AssembledLattice
-from entgap.operators import HermitianOperator, MatrixFreeOperator, random_state_vector
+from entgap.operators import (
+    HermitianOperator,
+    MatrixFreeOperator,
+    Spectrum,
+    partial_transpose_matrix,
+    random_state_vector,
+)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -85,3 +91,17 @@ def check_matrix_free(
         if abs(herm) > tol * op.dimension:
             raise ValueError("apply is not Hermitian")
     return True
+
+
+def gibbs_reference(spec: Spectrum, temperature: float):
+    """One temperature's Gibbs state, built and symmetrized as a
+    HermitianOperator, with the smallest eigenvalue of its partial
+    transpose over the first factor and its thermal energy."""
+    w = spec.eigenvalues
+    weights = np.exp(-(w - w.min()) / temperature)
+    weights /= weights.sum()
+    rho = HermitianOperator((spec.eigenvectors * weights) @ spec.eigenvectors.conj().T, spec.dims)
+    da = spec.dims[0]
+    low = float(np.linalg.eigvalsh(partial_transpose_matrix(rho.matrix, da, rho.dim // da))[0])
+    shifted = np.exp(-(1.0 / temperature) * (w - w.min()))
+    return rho.matrix, low, float((w * shifted).sum() / shifted.sum())

@@ -250,7 +250,7 @@ def test_xy_scan_refuses_a_surface_that_cannot_fit_before_allocating_it(capsys):
 def test_xy_scan_counts_the_surface_not_each_grid(monkeypatch, capsys):
     from entgap import sdp, xy
 
-    # 1001 x 2001 points need 2.1 GB at XY_POINT_BYTES each; each grid
+    # 1001 x 2001 points need 1.3 GB at XY_POINT_BYTES each; each grid
     # alone would fit in 16 MiB
     monkeypatch.setattr(sdp, "_physical_memory", lambda: 2**24)
     monkeypatch.setattr(xy, "xy_gap_surface", _fail("xy_gap_surface"))
@@ -262,21 +262,23 @@ def test_xy_scan_counts_the_surface_not_each_grid(monkeypatch, capsys):
 
 
 def test_xy_scan_memory_figure_is_not_below_what_a_scan_holds(capsys):
+    """The refusal's allowance covers the tracemalloc peak of a small
+    scan, where the Brillouin-zone pass's fixed transient dominates, and
+    of a larger one, where the per-point cost does."""
     import tracemalloc
 
-    from entgap.cli import XY_POINT_BYTES
+    from entgap.cli import XY_BASE_BYTES, XY_POINT_BYTES
 
     run_cli(capsys, "xy-scan", "--gamma", "0:0.1:0.1", "--lambda", "0:0.1:0.1", "--json")
-    tracemalloc.start()
-    try:
-        code, out, _ = run_cli(
-            capsys, "xy-scan", "--gamma", "0:1:0.05", "--lambda", "0:1:0.05", "--json"
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and len(last_json(out)["rows"]) == 441
-    assert peak <= 441 * XY_POINT_BYTES
+    for gamma, lam, points in (("0:1:0.05", "0:1:0.05", 441), ("0:1:0.02", "0:2:0.02", 5151)):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "xy-scan", "--gamma", gamma, "--lambda", lam, "--json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(last_json(out)["rows"]) == points
+        assert peak <= XY_BASE_BYTES + points * XY_POINT_BYTES
 
 
 @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:0.5", "0:1:-0.5"])
@@ -297,6 +299,14 @@ def test_temp_command_curve(capsys):
     assert len(payload["samples"]) == 8
     us = [s["U"] for s in payload["samples"]]
     assert all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
+
+
+def test_temp_refuses_a_decreasing_grid(capsys):
+    code, out, err = run_cli(
+        capsys, "temp", "--model", "heisenberg", "--t-min", "5", "--t-max", "1", "--json"
+    )
+    assert code == 2 and out == ""
+    assert "strictly increasing" in err
 
 
 def test_temp_csv_columns(capsys):

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from entgap.models import (
+    ces_hamiltonian,
     choi_hamiltonian,
     heisenberg_pair,
     max_entangled_projector_hamiltonian,
     symmetric_projector_hamiltonian,
     upb_hamiltonian,
 )
-from entgap.operators import HermitianOperator, eig
+from entgap.operators import HermitianOperator, eig, partial_transpose_matrix
 from entgap.separability import seesaw_upper
 from entgap.thermo import (
-    ThermalCurve,
+    PPT_FLAG_TOL,
     bound_entanglement_window,
     entanglement_gap_temperature,
     gibbs_state,
@@ -21,7 +22,7 @@ from entgap.thermo import (
     thermal_curve,
     thermal_energy,
 )
-from helpers import random_hermitian
+from helpers import gibbs_reference, random_hermitian
 
 
 def test_thermal_energy_limits():
@@ -77,11 +78,11 @@ def test_gibbs_state_is_density_matrix():
     h = choi_hamiltonian()
     spec = eig(h)
     rho = gibbs_state(spec, 0.7)
-    assert rho.dims == h.dims
-    assert abs(np.trace(rho.matrix).real - 1) < 1e-12
-    assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-12
+    assert rho.shape == h.matrix.shape
+    assert abs(np.trace(rho).real - 1) < 1e-12
+    assert np.linalg.eigvalsh(rho)[0] > -1e-12
     assert thermal_energy(spec.eigenvalues, 0.7) == pytest.approx(
-        float(np.real(np.vdot(h.matrix.conj().T, rho.matrix))), abs=1e-10
+        float(np.real(np.vdot(h.matrix.conj().T, rho))), abs=1e-10
     )
 
 
@@ -125,11 +126,12 @@ def test_bisections_stop_once_no_float_lies_between_the_ends(monkeypatch):
     assert len(calls) <= 3 + 64  # three to bracket the crossing, then the halvings
 
     monkeypatch.setattr(thermo, "_thermal_energies", energy)
-    monkeypatch.setattr(thermo, "is_gibbs_ppt", lambda s, t: calls.append(t) or ppt(s, t))
+    monkeypatch.setattr(thermo, "is_gibbs_ppt",
+                        lambda s, t: calls.append(np.size(t)) or ppt(s, t))
     calls.clear()
     window = bound_entanglement_window(spec, 0.0, t_min=1.0, t_max=1.5, refine_tol=1e-300)
     assert window == pytest.approx((1.256, 1.271), abs=0.01)
-    assert len(calls) <= 80 + 2 * 64  # the grid, then both refined ends
+    assert sum(calls) <= 80 + 2 * 64  # the grid's temperatures, then both refined ends
 
 
 def _scalar_gap_temperature(w, e_sep, tol):
@@ -192,15 +194,23 @@ def test_gap_temperature_no_finite_solution():
     assert entanglement_gap_temperature(w, 100.0) is None  # above the mean
 
 
-def test_thermal_curve_invariants_and_flags():
-    curve = thermal_curve(eig(heisenberg_pair()), np.geomspace(0.1, 10, 12))
+def test_thermal_curve_invariants_and_flags(monkeypatch):
+    import entgap.thermo as thermo
+
+    spec = eig(heisenberg_pair())
+    curve = thermal_curve(spec, np.geomspace(0.1, 10, 12))
     # low-temperature Gibbs state of the AFM is NPT, high-temperature is PPT
-    assert curve.samples[0][2] is False
-    assert curve.samples[-1][2] is True
-    with pytest.raises(ValueError):
-        ThermalCurve(samples=((1.0, 0.0, True), (1.0, 0.1, True)))
-    with pytest.raises(ValueError):
-        ThermalCurve(samples=((1.0, 0.5, True), (2.0, 0.1, True)))
+    assert curve[0][2] is False
+    assert curve[-1][2] is True
+    with pytest.raises(ValueError, match="strictly increasing"):
+        thermal_curve(spec, [1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        thermal_curve(spec, [2.0, 1.0])
+    # U(T) rises with T for every spectrum (dU/dT = Var(E)/T^2), so only a
+    # broken thermal energy can trip the curve's second check
+    monkeypatch.setattr(thermo, "thermal_energy", lambda w, t: -np.asarray(t))
+    with pytest.raises(ValueError, match="non-decreasing in T"):
+        thermal_curve(spec, [1.0, 2.0])
 
 
 def test_curve_and_window_eigendecompose_once(monkeypatch):
@@ -231,9 +241,71 @@ def test_curve_and_window_eigendecompose_once(monkeypatch):
     temps = np.geomspace(0.5, 2.0, 9)
     curve = thermal_curve(spec, temps)
     assert calls == []
-    assert [s[2] for s in curve.samples] == [is_gibbs_ppt(spec, t) for t in temps]
+    assert [s[2] for s in curve] == [is_gibbs_ppt(spec, t) for t in temps]
     assert bound_entanglement_window(spec, 0.0, t_min=0.5, t_max=2.0) is not None
     assert calls == []
+
+
+def _stacked_models():
+    from entgap.lattices import LatticeSpec, assemble
+
+    rng = np.random.default_rng(24)
+    return {
+        "choi": choi_hamiltonian(),
+        "ces:4": ces_hamiltonian(4),
+        "heisenberg-chain:3": assemble(LatticeSpec.chain(3), heisenberg_pair()).dense,
+        "random-2x4": HermitianOperator(random_hermitian(8, rng), (2, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stacked_models()))
+def test_stacked_gibbs_layer_equals_one_temperature_at_a_time(name, monkeypatch):
+    """Gibbs states, PPT flags and the curve over a grid are bitwise what
+    one HermitianOperator Gibbs state per temperature gives, whatever the
+    chunk: one temperature per stack, three, or the default."""
+    import entgap.thermo as thermo
+
+    spec = eig(_stacked_models()[name])
+    temps = np.geomspace(0.05, 5.0, 40)
+    reference = [gibbs_reference(spec, float(t)) for t in temps]
+    rho = gibbs_state(spec, temps)
+    assert rho.shape == (40,) + spec.eigenvectors.shape
+    for i, (rho_ref, _, _) in enumerate(reference):
+        assert np.array_equal(rho[i], rho_ref)
+        assert np.array_equal(gibbs_state(spec, float(temps[i])), rho_ref)
+    da = spec.dims[0]
+    low = np.linalg.eigvalsh(partial_transpose_matrix(rho, da, rho.shape[-1] // da))[:, 0]
+    assert low.tolist() == [r[1] for r in reference]
+    flags = [r[1] >= PPT_FLAG_TOL for r in reference]
+    assert 0 < sum(flags) < 40  # the grid crosses from NPT to PPT
+    assert thermal_curve(spec, temps) == [
+        (float(t), u, f) for t, (_, _, u), f in zip(temps, reference, flags)
+    ]
+    n = spec.eigenvalues.size
+    for chunk in (1, 3 * n * n, thermo.GIBBS_CHUNK):
+        monkeypatch.setattr(thermo, "GIBBS_CHUNK", chunk)
+        assert is_gibbs_ppt(spec, temps).tolist() == flags
+        assert [is_gibbs_ppt(spec, float(t)) for t in temps] == flags
+
+
+def test_gibbs_stacks_hold_a_bounded_number_of_entries():
+    """A grid of four chunks peaks at what one chunk's Gibbs stack and its
+    partial transpose need (about 4.1 stacks of ``GIBBS_CHUNK`` complex
+    entries), not at four times that."""
+    import tracemalloc
+
+    import entgap.thermo as thermo
+
+    spec = eig(choi_hamiltonian())
+    temps = np.geomspace(0.05, 5.0, 4 * (thermo.GIBBS_CHUNK // 81))
+    is_gibbs_ppt(spec, temps[:2])
+    tracemalloc.start()
+    try:
+        is_gibbs_ppt(spec, temps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * thermo.GIBBS_CHUNK * 16 + temps.size * 32
 
 
 def test_afm_gap_temperature_scaled():
