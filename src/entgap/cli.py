@@ -141,13 +141,13 @@ def cmd_temp(args, cfg: RunConfig) -> int:
     if args.n_grid < 1:
         raise ValueError(f"--n-grid must be >= 1, got {args.n_grid}")
     h = models.from_identifier(args.model)
+    # a flag the grid cannot hold gives inf or nan there, refused by value
+    # before the bracket's work
+    with np.errstate(invalid="ignore"):
+        grid = thermo.temperature_grid(np.geomspace(args.t_min, args.t_max, args.n_grid))
     bracket = separability.sep_bracket(
         h, restarts=cfg.restarts, seed=cfg.seed, gap_tol=cfg.sdp_tol
     )
-    # a flag the grid cannot hold gives inf or nan there, which the curve
-    # refuses by value
-    with np.errstate(invalid="ignore"):
-        grid = np.geomspace(args.t_min, args.t_max, args.n_grid)
     spec = eig(h)
     samples = thermo.thermal_curve(spec, grid)
     w = spec.eigenvalues
@@ -167,7 +167,8 @@ def cmd_temp(args, cfg: RunConfig) -> int:
     _emit(cfg, payload, rows, [
         f"model: {args.model}",
         f"E_sep in [{bracket.lower:.9g}, {bracket.upper:.9g}]",
-        f"t_gap = {t_gap}   scaled = {t_scaled}",
+        f"t_gap = {t_gap}   scaled = {t_scaled}   (from the seesaw value, not certified)",
+        f"t_gap_from_lower_bound = {t_lower}   (certified, from the PPT bound)",
     ])
     return _sdp_exit_code(bracket)
 

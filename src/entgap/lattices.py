@@ -156,6 +156,29 @@ class AssembledLattice:
         # cast while sparse: a float64 toarray would stay alive beside its complex copy
         return HermitianOperator(self.matrix.astype(complex).toarray(), self.matrix_free.dims)
 
+    def sector(self, up: int) -> MatrixFreeOperator:
+        """The block of ``matrix`` on the basis states with ``up`` sites in
+        state 1 (in index order), its entries sliced from ``matrix``.
+
+        ValueError unless the sites are qubits, 0 <= up <= n_sites and
+        the coupling keeps the number of 1s on its two sites, so that no
+        entry of ``matrix`` leaves the block.
+        """
+        n = self.spec.n_sites
+        if self.spec.local_dim != 2:
+            raise ValueError(f"sector needs qubit sites, got local dimension {self.spec.local_dim}")
+        if not 0 <= up <= n:
+            raise ValueError(f"up must lie in [0, {n}], got {up}")
+        ones = np.array([0, 1, 1, 2])  # 1s in the two-site states 00, 01, 10, 11
+        out, inp = np.nonzero(self.coupling.matrix)
+        if np.any(ones[out] != ones[inp]):
+            raise ValueError("coupling changes the number of 1s on a bond; it has no sectors")
+        index = np.arange(self.spec.dim)
+        count = sum((index >> k) & 1 for k in range(n))
+        keep = np.flatnonzero(count == up)
+        block = self.matrix[keep][:, keep]
+        return MatrixFreeOperator(keep.size, block.__matmul__)
+
 
 def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.csr_array:
     """``h2`` on sites i < j (first factor on i), identity elsewhere.

@@ -94,6 +94,19 @@ class SeesawRun:
     best: int           # index of the winning restart
 
 
+def _kron_rows(factors) -> np.ndarray:
+    """Row r is the kron, in order, of row r of each (R, d) array."""
+    return reduce(lambda a, b: (a[:, :, None] * b[:, None]).reshape(len(a), -1), factors)
+
+
+def _product_energies(h: HermitianOperator, factors) -> list[float]:
+    """Exact energy of each row's product state, row r of ``factors[s]``
+    being its factor on site s: bitwise ``ProductState.energy``, with
+    every vector formed and contracted with H in one stack."""
+    p = _kron_rows(factors)
+    return np.real(p.conj()[:, None, :] @ np.matmul(h.matrix, p[:, :, None]))[:, 0, 0].tolist()
+
+
 def seesaw_upper(
     h: HermitianOperator,
     restarts: int = 64,
@@ -138,8 +151,7 @@ def seesaw_upper(
     for sweep in range(1, MAX_SWEEPS + 1):
         for s, d in enumerate(dims):
             # row r of p is the kron of live restart r's other factors
-            p = reduce(lambda a, b: (a[:, :, None] * b[:, None]).reshape(len(a), -1),
-                       [cur[j] for j in range(k) if j != s])
+            p = _kron_rows([cur[j] for j in range(k) if j != s])
             m = ((p.conj() @ blocks[s]).reshape(len(live), d * d, -1) @ p[:, :, None])
             m = m.reshape(-1, d, d)
             w, v = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
@@ -171,17 +183,17 @@ def seesaw_upper(
     for s in range(k):
         vecs[s][live] = cur[s]
 
-    states = [ProductState(tuple(v[r] for v in vecs)) for r in range(restarts)]
-    energies = [state.energy(h) for state in states]
+    energies = _product_energies(h, vecs)
     best = 0
     for r in range(1, restarts):
         if energies[r] < energies[best] - 1e-15:
             best = r
+    state = ProductState(tuple(v[best] for v in vecs))
     if not return_trace:
-        return energies[best], states[best]
+        return energies[best], state
     trace = tuple(float(row[best]) for row in steps[: sweeps[best] * k])
     run = SeesawRun(trace, tuple(int(c) for c in sweeps), tuple(energies), best)
-    return energies[best], states[best], run
+    return energies[best], state, run
 
 
 def ppt_lower(h: HermitianOperator, gap_tol: float = 1e-7) -> tuple[float, PPTResult]:

@@ -156,15 +156,22 @@ def is_gibbs_ppt(spec: Spectrum, temperature):
     return bool(flags[0]) if np.ndim(temperature) == 0 else flags
 
 
-def thermal_curve(spec: Spectrum, temperatures) -> list[tuple[float, float, bool]]:
-    """(T, U, ppt) triples on a strictly increasing grid of finite positive
-    temperatures; ValueError on any other grid, or where U decreases."""
+def temperature_grid(temperatures) -> np.ndarray:
+    """``temperatures`` as a 1-D float array; ValueError unless they are
+    finite, positive and strictly increasing."""
     t = np.ravel(np.asarray(temperatures, dtype=float))
     bad = t[~((0 < t) & (t < np.inf))]
     if bad.size:
         raise ValueError(f"temperatures must be finite and positive, got {float(bad[0])}")
     if np.any(t[1:] <= t[:-1]):
         raise ValueError("temperatures must be strictly increasing")
+    return t
+
+
+def thermal_curve(spec: Spectrum, temperatures) -> list[tuple[float, float, bool]]:
+    """(T, U, ppt) triples on a ``temperature_grid``; ValueError on any
+    other grid, or where U decreases."""
+    t = temperature_grid(temperatures)
     u = thermal_energy(spec.eigenvalues, t)
     if np.any(u[1:] < u[:-1] - 1e-9):
         raise ValueError("thermal energy must be non-decreasing in T")

@@ -309,6 +309,29 @@ def test_temp_refuses_a_decreasing_grid(capsys):
     assert "strictly increasing" in err
 
 
+@pytest.mark.parametrize("grid", [
+    ["--t-min", "5", "--t-max", "1"],
+    ["--t-min", "nan"],
+    ["--t-min", "-1"],
+], ids=["decreasing", "nan", "negative"])
+def test_temp_refuses_a_bad_grid_before_the_bracket(grid, monkeypatch, capsys):
+    from entgap import separability
+
+    monkeypatch.setattr(separability, "sep_bracket", _fail("sep_bracket"))
+    code, out, err = run_cli(capsys, "temp", "--model", "ces:4", *grid, "--json")
+    assert code == 2 and out == ""
+    assert "temperatures must be" in err
+
+
+def test_temp_pretty_output_names_the_certified_gap_temperature(capsys):
+    code, out, _ = run_cli(capsys, "temp", "--model", "heisenberg", "--n-grid", "3")
+    payload = last_json(out)
+    assert code == 0
+    assert f"t_gap = {payload['t_gap']} " in out
+    assert f"t_gap_from_lower_bound = {payload['t_gap_from_lower_bound']} " in out
+    assert "certified" in out.splitlines()[-2]
+
+
 def test_temp_csv_columns(capsys):
     code, out, _ = run_cli(
         capsys, "temp", "--model", "heisenberg", "--n-grid", "5", "--csv"

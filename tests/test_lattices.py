@@ -255,6 +255,40 @@ def test_bond_energy_decomposition_rejects_non_density():
         bond_energy_decomposition(asm, HermitianOperator(bad, (2, 2)))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec.ring(9), LatticeSpec.ring(10), LatticeSpec.star(5), LatticeSpec.complete(5)],
+    ids=["ring9", "ring10", "star5", "complete5"],
+)
+def test_half_filled_sector_holds_the_heisenberg_extremes(spec):
+    asm = assemble(spec, heisenberg_pair())
+    up = spec.n_sites // 2
+    keep = [s for s in range(spec.dim) if bin(s).count("1") == up]
+    op = asm.sector(up)
+    assert op.dimension == len(keep)
+    block = op.apply(np.eye(len(keep)))
+    np.testing.assert_array_equal(block, asm.matrix.toarray()[np.ix_(keep, keep)])
+    w = np.linalg.eigvalsh(block)
+    spectrum = eig(asm.dense)
+    assert w[0] == pytest.approx(spectrum.e0, abs=1e-12)
+    assert w[-1] == pytest.approx(spectrum.e_max, abs=1e-12)
+
+
+def test_sector_refuses_what_has_no_sectors():
+    rng = np.random.default_rng(0)
+    qutrits = HermitianOperator(random_hermitian(9, rng), (3, 3))
+    with pytest.raises(ValueError, match="qubit"):
+        assemble(LatticeSpec.ring(3, local_dim=3), qutrits).sector(1)
+    # gamma != 0 couples 00 with 11
+    with pytest.raises(ValueError, match="number of 1s"):
+        assemble(LatticeSpec.ring(4), xy_pair(0.3, 0.7)).sector(2)
+    ring = assemble(LatticeSpec.ring(4), heisenberg_pair())
+    for up in (-1, 5):
+        with pytest.raises(ValueError, match="up must lie"):
+            ring.sector(up)
+    assert ring.sector(4).dimension == 1
+
+
 def test_reference_energy_table_values():
     assert REFERENCE_ENERGIES["kagome"]["e0_per_bond"] == -0.874
     assert REFERENCE_ENERGIES["cubic"]["source"] == "spin-wave"

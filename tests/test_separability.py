@@ -22,6 +22,7 @@ from entgap.separability import (
     MAX_SWEEPS,
     SEESAW_CONVERGENCE,
     ProductState,
+    _product_energies,
     build_witness,
     entanglement_gap,
     ppt_lower,
@@ -151,6 +152,31 @@ def test_batched_seesaw_matches_one_restart_at_a_time(build, restarts):
     e_min = min(e for e, _ in reference)
     winners = [r for r, (e, _) in enumerate(reference) if e <= e_min + 1e-12]
     assert run.best in winners and energy == run.energies[run.best]
+
+
+@pytest.mark.parametrize(
+    "build, restarts",
+    [
+        (lambda: from_identifier("choi"), 16),
+        (lambda: from_identifier("choi"), 1),
+        (lambda: from_identifier("ces:4"), 8),
+        (lambda: _random_operator((3, 4), 6), 16),
+        (lambda: assemble(LatticeSpec.star(4), heisenberg_pair()).dense, 16),
+        (lambda: assemble(LatticeSpec.ring(5), heisenberg_pair()).dense, 1),
+    ],
+    ids=["choi", "choi-one-restart", "ces4", "rand3x4", "star4", "ring5-one-restart"],
+)
+def test_stacked_product_energies_are_bitwise_the_per_restart_ones(build, restarts):
+    h = build()
+    rng = np.random.default_rng(3)
+    factors = [np.array([random_state_vector(d, rng) for _ in range(restarts)])
+               for d in h.dims]
+    per_restart = [ProductState(tuple(f[r] for f in factors)).energy(h)
+                   for r in range(restarts)]
+    assert _product_energies(h, factors) == per_restart
+    energy, state, run = seesaw_upper(h, restarts=restarts, seed=0, return_trace=True)
+    assert state.energy(h) == energy == run.energies[run.best]
+    assert len(run.energies) == restarts
 
 
 def test_seesaw_validation():

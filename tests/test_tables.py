@@ -58,6 +58,34 @@ def test_chain_extrapolation_close_to_literature():
     assert len(fit["per_site"]) == 3
 
 
+def _heisenberg_ring_half_filled(n):
+    """The Heisenberg ring on the n-bit strings with n // 2 bits set, built
+    bond by bond: sigma^z sigma^z gives +1 when the two bits agree and -1
+    when they differ, and sigma^x sigma^x + sigma^y sigma^y swaps two
+    differing bits with amplitude 2."""
+    states = [s for s in range(2 ** n) if bin(s).count("1") == n // 2]
+    where = {s: i for i, s in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    for i, s in enumerate(states):
+        for a in range(n):
+            b = (a + 1) % n
+            if (s >> a & 1) == (s >> b & 1):
+                h[i, i] += 1.0
+            else:
+                h[i, i] -= 1.0
+                h[where[s ^ (1 << a) ^ (1 << b)], i] += 2.0
+    return h
+
+
+def test_chain_fit_ring_energies_match_a_half_filled_block_built_from_bit_strings():
+    sizes = (8, 10, 12)
+    _, fit = chain_energy_extrapolation(ring_sizes=sizes, seed=0)
+    assert fit["ring_sizes"] == list(sizes)
+    for n, e_site in zip(sizes, fit["per_site"]):
+        e0 = np.linalg.eigvalsh(_heisenberg_ring_half_filled(n))[0]
+        assert e_site == pytest.approx(e0 / n, abs=1e-10)
+
+
 def test_table2_matches_reference():
     rows, meta = table2_report(restarts=16, seed=0)
     by_name = {r["lattice"]: r for r in rows}
