@@ -164,9 +164,9 @@ class AssembledLattice:
         the coupling keeps the number of 1s on its two sites, so that no
         entry of ``matrix`` leaves the block.
         """
-        n = self.spec.n_sites
-        if self.spec.local_dim != 2:
-            raise ValueError(f"sector needs qubit sites, got local dimension {self.spec.local_dim}")
+        n, d = self.spec.n_sites, self.spec.local_dim
+        if d != 2:
+            raise ValueError(f"sector needs qubit sites, got local dimension {d}")
         if not 0 <= up <= n:
             raise ValueError(f"up must lie in [0, {n}], got {up}")
         ones = np.array([0, 1, 1, 2])  # 1s in the two-site states 00, 01, 10, 11
