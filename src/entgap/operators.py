@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -153,63 +154,62 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def lanczos_ground(
-    op: MatrixFreeOperator,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    seed: int = 0,
-):
-    """Lowest eigenpair of a Hermitian matrix-free operator.
+def lanczos_ground(op: MatrixFreeOperator, tol: float = 1e-10, max_iter: int = 10000,
+                   seed: int = 0):
+    """Lowest eigenpair of a Hermitian matrix-free operator by two-pass Lanczos.
 
-    ARPACK on ``op.apply`` from a seeded random unit vector: symmetric
-    Lanczos on float64 vectors when ``op.apply`` of a float64 zero vector
-    is real, complex Arnoldi otherwise.  ARPACK's tolerance is relative
-    to |E|, so the explicit residual ||A v - E v|| is checked and the
-    solve repeated from the returned vector with a tighter tolerance
-    until it drops below ``tol``.  Raises :class:`LanczosError` (carrying
-    the residual reached) once ``max_iter`` matrix applications are spent.
-    """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
-
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    From a seeded random unit vector (float64 if ``op.apply`` maps float64 to
+    real, else complex), pass 1 runs the three-term recurrence with no stored
+    basis until the lowest Ritz pair has |beta_j y_j| <= tol/2, beta_j breaks
+    down or j = n; pass 2 reruns it to sum the Ritz vector, returned with its
+    Rayleigh quotient once ||A v - E v|| <= ``tol`` and restarted from
+    otherwise.  Raises :class:`LanczosError` (carrying the residual reached)
+    after ``max_iter`` matrix applications, counted over all passes."""
     n = op.dimension
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    n_apply = 0
+    if tol <= 0 or n < 3:
+        raise ValueError(f"need tol > 0 and dimension >= 3, got tol {tol}, dimension {n}")
+    budget = iter(range(max_iter))
 
-    def matvec(x):
-        nonlocal n_apply
-        if n_apply >= max_iter:
-            raise _ApplyCapReached
-        n_apply += 1
-        return op.apply(x)
+    def krylov(q):
+        """Lanczos vectors q_j from the unit vector q, each with alpha_j, beta_j."""
+        q, q_prev, w, beta = q.copy(), np.zeros_like(q), np.empty_like(q), 0.0
+        while True:
+            if next(budget, None) is None:
+                raise _ApplyCapReached
+            av = op.apply(q)
+            alpha = np.vdot(q, av).real
+            np.subtract(av, np.multiply(q, alpha, out=w), out=w)
+            w -= np.multiply(q_prev, beta, out=q_prev)
+            beta = np.linalg.norm(w)
+            yield q, alpha, beta
+            q, q_prev = np.divide(w, beta, out=q_prev), q
 
     rng = np.random.default_rng(seed)
     real = not np.iscomplexobj(op.apply(np.zeros(n)))
     v = rng.standard_normal(n) if real else random_state_vector(n, rng)
-    if real:
-        v /= np.linalg.norm(v)
-    a = LinearOperator((n, n), matvec=matvec, dtype=v.dtype)
-    # eigsh drops rng for a complex operator; eigs keeps restarts seeded
-    solve, which = (eigsh, "SA") if real else (eigs, "SR")
-    rel = tol
+    v /= np.linalg.norm(v)
+    res = np.inf
     try:
         while True:
-            w, vecs = solve(a, k=1, which=which, v0=v, tol=rel, rng=rng)
-            e, v = float(w[0].real), vecs[:, 0]
-            res = float(np.linalg.norm(matvec(v) - e * v))
+            _, e, res = next(krylov(v))  # the Rayleigh quotient and ||A v - E v||
             if res <= tol:
-                return e, v
-            rel *= 0.5 * tol / res
-    except (_ApplyCapReached, ArpackNoConvergence):
-        pass
-    av = op.apply(v)
-    res = float(np.linalg.norm(av - np.vdot(v, av).real * v))
-    raise LanczosError(
-        f"no convergence within {max_iter} applications (residual {res:.3e})",
-        residual=res,
-    )
+                return float(e), v
+            alphas, betas = [], []
+            for j, (_, alpha, beta) in enumerate(krylov(v), 1):
+                alphas.append(alpha)
+                betas.append(beta)
+                if j % 3 and j < n and beta > tol / 2:
+                    continue
+                _, y = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(0, 0))
+                if beta * abs(y[-1, 0]) <= tol / 2 or j == n:
+                    break
+            x = np.zeros_like(v)
+            for c, (q, _, _) in zip(y[:, 0], krylov(v)):
+                x += c * q
+            v = x / np.linalg.norm(x)
+    except _ApplyCapReached:
+        raise LanczosError(f"no convergence within {max_iter} applications "
+                           f"(residual {res:.3e})", residual=res) from None
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,29 @@ def test_lanczos_residual_is_absolute_on_ring14():
     assert np.linalg.norm(asm.matrix_free.apply(vec) - e * vec) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("delta", [1.1, 1.5])
+def test_lanczos_matches_eigsh_on_xxz_rings(n, delta):
+    # ring:15's ground level is degenerate (S^z = +-1/2 and momenta +-k)
+    from scipy.sparse.linalg import eigsh
+
+    asm = assemble(LatticeSpec.ring(n), xxz_pair(delta))
+    e, vec = lanczos_ground(asm.matrix_free, tol=1e-10)
+    oracle = eigsh(asm.matrix, k=1, which="SA", tol=1e-13)[0][0]
+    assert abs(e - oracle) <= 1e-9
+    assert np.linalg.norm(asm.matrix @ vec - e * vec) <= 1e-10
+
+
+def test_lanczos_keeps_a_complex_coupling_complex():
+    from scipy.sparse.linalg import eigsh
+
+    asm = assemble(LatticeSpec.ring(10), _dm_heisenberg())
+    e, vec = lanczos_ground(asm.matrix_free, tol=1e-10)
+    assert vec.dtype == np.complex128 and np.abs(vec.imag).max() > 1e-3
+    assert abs(e - eigsh(asm.matrix, k=1, which="SA", tol=1e-13)[0][0]) <= 1e-9
+    assert np.linalg.norm(asm.matrix @ vec - e * vec) <= 1e-10
+
+
 def test_dense_form_is_built_only_when_read():
     import tracemalloc
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_lanczos_identity_operator():
     e, vec = lanczos_ground(op, tol=1e-10)
     assert e == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(op.apply(vec) - e * vec) < 1e-10
-    # the Krylov space breaks down at once here; the restart stays seeded
+    # every vector is an eigenvector here, so the seeded start vector is returned
     assert np.array_equal(lanczos_ground(op, tol=1e-10)[1], vec)
 
 
@@ -222,6 +223,60 @@ def test_lanczos_reports_residual_on_iteration_cap():
     assert err.value.residual < np.inf
     with pytest.raises(ValueError):
         lanczos_ground(op, tol=0.0)
+
+
+class _Counted:
+    """A diagonal operator whose applications are counted."""
+
+    def __init__(self, diagonal):
+        self.diagonal, self.calls = np.asarray(diagonal, dtype=float), 0
+        self.op = MatrixFreeOperator(len(self.diagonal), self.apply)
+
+    def apply(self, v):
+        self.calls += 1
+        return self.diagonal * v
+
+
+def test_lanczos_max_iter_counts_the_applications_of_both_passes():
+    d = _Counted(np.linspace(0.0, 10.0, 400))
+    e, vec = lanczos_ground(d.op, tol=1e-8)
+    used = d.calls - 1  # the first call only tells a real operator from a complex one
+    assert abs(e) < 1e-8 and np.linalg.norm(d.diagonal * vec - e * vec) <= 1e-8
+    assert np.array_equal(lanczos_ground(d.op, tol=1e-8, max_iter=used)[1], vec)
+    # ``used`` covers the checks of the start and Ritz vectors and both
+    # passes; a cap one below it cuts the last check short
+    d.calls = 0
+    with pytest.raises(LanczosError) as err:
+        lanczos_ground(d.op, tol=1e-8, max_iter=used - 1)
+    assert d.calls == used and np.isfinite(err.value.residual)
+    assert err.value.residual > 1e-8
+
+
+def test_lanczos_restarts_from_its_ritz_vector_on_a_clustered_spectrum():
+    # three lowest levels 1e-8 apart under a spread of 37 others: in floating
+    # point the recurrence runs to j = n with the cluster unresolved, so the
+    # explicit residual check sends the solve round again
+    n = 40
+    d = _Counted(np.concatenate([[0.0, 1e-8, 2e-8], np.linspace(1.0, 100.0, n - 3)]))
+    e, vec = lanczos_ground(d.op, tol=1e-10)
+    # one round is at most the check of the start vector, n steps per pass
+    # and the check of the Ritz vector
+    assert d.calls - 1 > 2 * n + 2
+    assert abs(e) < 1e-9
+    assert np.linalg.norm(d.diagonal * vec - e * vec) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_lanczos_stops_on_an_invariant_subspace(n):
+    # two distinct levels: the Krylov space of any start vector has
+    # dimension 2, so the recurrence breaks down (beta ~ 1e-16) at j = 2
+    d = _Counted([-1.0] * (n // 2) + [2.0] * (n - n // 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by the vanishing beta
+        e, vec = lanczos_ground(d.op, tol=1e-12, seed=n)
+    assert abs(e + 1.0) <= 1e-12
+    assert np.linalg.norm(d.diagonal * vec - e * vec) <= 1e-12
+    assert d.calls - 1 <= 6
 
 
 def test_json_round_trip_and_validation():
