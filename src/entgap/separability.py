@@ -34,13 +34,10 @@ class ProductState:
                 raise ValueError("local factors must be normalized")
 
     def vector(self) -> np.ndarray:
-        out = np.array([1.0], dtype=complex)
-        for v in self.locals:
-            out = np.kron(out, v)
-        return out
+        return _kron_rows([v[None] for v in self.locals])[0]
 
     def energy(self, h: HermitianOperator) -> float:
-        return h.expectation(self.vector())
+        return _product_energies(h, [v[None] for v in self.locals])[0]
 
 
 @dataclass(frozen=True)

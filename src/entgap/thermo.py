@@ -71,6 +71,32 @@ def gibbs_state(spec: Spectrum, temperature) -> np.ndarray:
     return rho[0] if np.ndim(temperature) == 0 else rho
 
 
+def bisect(f, x_false, x_true, width_tol: float = 0.0, value_tol: float = -np.inf):
+    """Halve every row's bracket [x_false[i], x_true[i]] (either end the larger)
+    at once; returns the (x_false, x_true) arrays.  ``f(rows, x)`` gives the
+    values at the midpoints ``x`` of rows ``rows``: a negative one moves the
+    false end there, any other the true end, and one within ``value_tol`` of
+    zero both, which stops the row.  A row also stops once its ends lie within
+    ``width_tol``, once no float lies between them, or after BISECT_CAP halvings.
+    """
+    x_false, x_true = np.array(x_false, dtype=float), np.array(x_true, dtype=float)
+    live = np.arange(x_false.size)
+    for _ in range(BISECT_CAP):
+        lo, hi = x_false[live], x_true[live]
+        mid = 0.5 * (hi + lo)
+        # within width_tol, or with no float between the ends (every halving repeats this one)
+        moves = (np.abs(hi - lo) > width_tol) & (mid != lo) & (mid != hi)
+        live, mid = live[moves], mid[moves]
+        if live.size == 0:
+            break
+        v = f(live, mid)
+        below, near = v < 0, np.abs(v) <= value_tol
+        x_false[live[below | near]] = mid[below | near]
+        x_true[live[~below | near]] = mid[~below | near]
+        live = live[~near]
+    return x_false, x_true
+
+
 def entanglement_gap_temperature(levels, e_sep, tol: float = 1e-10):
     """Temperature at which the thermal energy of ``levels`` equals ``e_sep``.
 
@@ -80,8 +106,12 @@ def entanglement_gap_temperature(levels, e_sep, tol: float = 1e-10):
     the ground energy and the infinite-T mean: a spectrum then gives
     None, a stack NaN in that row.  Bisection under monotonicity; each
     result satisfies |U(T) - e_sep| <= tol unless its bracket first
-    closes to adjacent floats or takes BISECT_CAP halvings.
+    closes to adjacent floats or takes BISECT_CAP halvings.  ValueError
+    unless ``e_sep`` has the shape the levels call for.
     """
+    if np.ndim(levels) not in (1, 2) or np.shape(e_sep) != np.shape(levels)[:-1]:
+        raise ValueError(f"levels of shape {np.shape(levels)} need e_sep of shape "
+                         f"{np.shape(levels)[:-1]}, got {np.shape(e_sep)}")
     one = np.ndim(levels) == 1
     w = np.atleast_2d(np.asarray(levels, dtype=float))
     e = np.atleast_1d(np.asarray(e_sep, dtype=float))
@@ -97,46 +127,20 @@ def entanglement_gap_temperature(levels, e_sep, tol: float = 1e-10):
             if live.size == 0:
                 break
             t[live] *= scale
-    live = np.arange(len(rows))
-    for _ in range(BISECT_CAP):
-        t_mid = 0.5 * (t_lo[live] + t_hi[live])
-        # no float lies between the ends, so every further halving repeats this one
-        moves = (t_mid != t_lo[live]) & (t_mid != t_hi[live])
-        live, t_mid = live[moves], t_mid[moves]
-        if live.size == 0:
-            break
-        u = _thermal_energies(w[live], t_mid)
-        below, near = u < e[live], np.abs(u - e[live]) <= tol
-        # a row within tol keeps t_mid as both ends, and so as its result
-        t_lo[live[below | near]] = t_mid[below | near]
-        t_hi[live[~below | near]] = t_mid[~below | near]
-        live = live[~near]
+    t_lo, t_hi = bisect(lambda r, t: _thermal_energies(w[r], t) - e[r], t_lo, t_hi, value_tol=tol)
     out[rows] = 0.5 * (t_lo + t_hi)
     if one:
         return None if np.isnan(out[0]) else float(out[0])
     return out
 
 
-def bisect_bool(pred, x_false: float, x_true: float, tol: float) -> float:
-    """Halve [x_false, x_true] (either order) to ``tol``, adjacent floats or
-    BISECT_CAP times, keeping ``pred`` False at one end; returns its True end."""
-    for _ in range(BISECT_CAP):
-        if abs(x_true - x_false) <= tol:
-            break
-        mid = 0.5 * (x_true + x_false)
-        if mid in (x_true, x_false):
-            break
-        if pred(mid):
-            x_true = mid
-        else:
-            x_false = mid
-    return x_true
-
-
-def scaled_gap_temperature(levels, e_sep: float, tol: float = 1e-10) -> float | None:
-    """Gap temperature divided by the total spectral range."""
+def scaled_gap_temperature(levels, e_sep, tol: float = 1e-10):
+    """Gap temperature divided by the spectral range of its own levels:
+    for one spectrum and a stack alike, as ``entanglement_gap_temperature``."""
     w = np.asarray(levels, dtype=float)
     t = entanglement_gap_temperature(w, e_sep, tol=tol)
+    if w.ndim == 2:
+        return t / (w.max(axis=1) - w.min(axis=1))
     return None if t is None else t / float(w.max() - w.min())
 
 
@@ -190,7 +194,7 @@ def bound_entanglement_window(
     below ``e_sep`` (so its entanglement is bound, witnessed by energy).
 
     Scans a log grid, takes the widest contiguous run, and refines both
-    endpoints by boolean bisection to ``refine_tol``.  Returns
+    endpoints to ``refine_tol`` in one stacked bisection.  Returns
     (t_low, t_high), or None when the window is empty.  Raises
     ValueError unless e_sep is finite, 0 < t_min < t_max (both finite),
     n_grid >= 2 and refine_tol is finite and positive.
@@ -205,25 +209,23 @@ def bound_entanglement_window(
             f"t_min={t_min}, t_max={t_max}, n_grid={n_grid}"
         )
 
-    def in_window(t: float) -> bool:
-        return thermal_energy(spec.eigenvalues, t) < e_sep and is_gibbs_ppt(spec, t)
+    def in_window(t: np.ndarray) -> np.ndarray:
+        flags = thermal_energy(spec.eigenvalues, t) < e_sep
+        flags[flags] = is_gibbs_ppt(spec, t[flags])
+        return flags
 
     grid = np.geomspace(t_min, t_max, n_grid)
-    flags = thermal_energy(spec.eigenvalues, grid) < e_sep
-    flags[flags] = is_gibbs_ppt(spec, grid[flags])
+    flags = in_window(grid)
     runs = [list(run) for flag, run in groupby(range(n_grid), flags.__getitem__) if flag]
     if not runs:
         return None
     widest = max(runs, key=len)
-    lo_idx, hi_idx = widest[0], widest[-1]
-
-    t_low = float(grid[lo_idx])
-    if lo_idx > 0:
-        t_low = bisect_bool(in_window, float(grid[lo_idx - 1]), t_low, refine_tol)
-    t_high = float(grid[hi_idx])
-    if hi_idx < n_grid - 1:
-        t_high = bisect_bool(in_window, float(grid[hi_idx + 1]), t_high, refine_tol)
-    return (t_low, t_high)
+    # each edge's bracket ends one grid point outside the run, or nowhere at the grid's end
+    inside = np.array([widest[0], widest[-1]])
+    outside = np.clip(inside + [-1, 1], 0, n_grid - 1)
+    _, edges = bisect(lambda _, t: np.where(in_window(t), 1.0, -1.0),
+                      grid[outside], grid[inside], width_tol=refine_tol)
+    return (float(edges[0]), float(edges[1]))
 
 
 def temperature_comparison(

@@ -22,7 +22,7 @@ from .sdp import solve_ppt_sdp_batch
 # ppt_lower stays importable from this module, where perfbench's tracer
 # tests look for it; the search itself calls the batched solver
 from .separability import ppt_lower, seesaw_upper  # noqa: F401
-from .thermo import bisect_bool, entanglement_gap_temperature, thermal_energy
+from .thermo import bisect, entanglement_gap_temperature, thermal_energy
 
 AFM_SCALED_T = 1.0 / np.log(3.0)
 ZERO_GAP_TOL = 1e-9
@@ -72,7 +72,7 @@ def e2_bounds(e1: float, tol: float = 1e-10):
             return e1
         if f(1.0) < 0:
             return 1.0
-        return bisect_bool(lambda e2: f(e2) >= 0, e1, 1.0, tol)
+        return float(bisect(lambda _, x: np.array([f(v) for v in x]), [e1], [1.0], tol)[1][0])
 
     # U' grows through (e1+1)/4 at the lower curve; the state energy
     # e2/2 grows through U' at the upper one

@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,9 @@ def test_bisections_stop_once_no_float_lies_between_the_ends(monkeypatch):
     import entgap.thermo as thermo
 
     calls = []
-    x = thermo.bisect_bool(lambda t: calls.append(t) or t > 1.0, 0.5, 2.0, 1e-300)
-    assert x == np.nextafter(1.0, 2.0)
+    _, x_true = thermo.bisect(
+        lambda _, t: calls.append(t) or np.where(t > 1.0, 1.0, -1.0), [0.5], [2.0], 1e-300)
+    assert x_true[0] == np.nextafter(1.0, 2.0)
     assert len(calls) <= 64
 
     spec = eig(choi_hamiltonian())
@@ -186,6 +189,120 @@ def test_stacked_gap_temperatures_equal_one_spectrum_at_a_time(n_levels, tol):
     for t, ref, row, e in zip(stacked, reference, w, e_sep):
         assert (np.isnan(t) and ref is None) or t == ref
         assert entanglement_gap_temperature(row, e, tol=tol) == ref
+
+
+def _scalar_bisect_bool(pred, x_false, x_true, tol):
+    """The one-bracket boolean bisection the stacked ``bisect`` replaced."""
+    from entgap.thermo import BISECT_CAP
+
+    for _ in range(BISECT_CAP):
+        if abs(x_true - x_false) <= tol:
+            break
+        mid = 0.5 * (x_true + x_false)
+        if mid in (x_true, x_false):
+            break
+        if pred(mid):
+            x_true = mid
+        else:
+            x_false = mid
+    return x_true
+
+
+def _scalar_window(spec, e_sep, t_min, t_max, refine_tol, n_grid=80):
+    """The window with every grid point checked alone and each edge
+    refined by its own scalar bisection, one temperature at a time."""
+
+    def in_window(t):
+        return thermal_energy(spec.eigenvalues, t) < e_sep and is_gibbs_ppt(spec, t)
+
+    grid = np.geomspace(t_min, t_max, n_grid)
+    flags = [in_window(float(t)) for t in grid]
+    runs = [list(run) for flag, run in groupby(range(n_grid), flags.__getitem__) if flag]
+    if not runs:
+        return None
+    widest = max(runs, key=len)
+    lo_idx, hi_idx = widest[0], widest[-1]
+    t_low, t_high = float(grid[lo_idx]), float(grid[hi_idx])
+    if lo_idx > 0:
+        t_low = _scalar_bisect_bool(in_window, float(grid[lo_idx - 1]), t_low, refine_tol)
+    if hi_idx < n_grid - 1:
+        t_high = _scalar_bisect_bool(in_window, float(grid[hi_idx + 1]), t_high, refine_tol)
+    return (t_low, t_high)
+
+
+def _window_cases():
+    """(spectrum, e_sep, t_min, t_max): Choi and the Tiles UPB at their
+    separable energies, then random 3x3 operators at 80% and 95% of the
+    way from E0 to the mean, whose windows end inside and on the grid."""
+    upb = upb_hamiltonian()
+    cases = [(eig(choi_hamiltonian()), 0.0, 0.5, 2.0),
+             (eig(upb), seesaw_upper(upb, restarts=32, seed=0)[0], 0.01, 1.0)]
+    rng = np.random.default_rng(27)
+    for _ in range(6):
+        spec = eig(HermitianOperator(random_hermitian(9, rng), (3, 3)))
+        w = spec.eigenvalues
+        cases += [(spec, float(w.min() + f * (w.mean() - w.min())), 0.05, 20.0)
+                  for f in (0.8, 0.95)]
+    return cases
+
+
+@pytest.mark.parametrize("refine_tol", [1e-4, 1e-300])
+def test_stacked_window_edges_equal_scalar_bisections(refine_tol):
+    """Both edges refined in one stacked bisection are bitwise what two
+    scalar boolean bisections give, at a loose tolerance and at one where
+    every edge stops on float spacing."""
+    refined = 0
+    for spec, e_sep, t_min, t_max in _window_cases():
+        window = bound_entanglement_window(spec, e_sep, t_min=t_min, t_max=t_max,
+                                           refine_tol=refine_tol)
+        assert window == _scalar_window(spec, e_sep, t_min, t_max, refine_tol)
+        refined += sum(t not in np.geomspace(t_min, t_max, 80) for t in window)
+    assert refined >= 10  # most edges fall between grid points
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-300])
+def test_e2_bounds_equal_scalar_bisections(tol):
+    """Both curves of ``e2_bounds`` are bitwise the scalar boolean
+    bisection's roots on 60 values of E1 in (1/4, 1]."""
+    from entgap.twoqubit import AFM_SCALED_T, e2_bounds
+
+    def reference(e1):
+        def u(e2):
+            return thermal_energy(np.array([0.0, e1, e2, 1.0]), AFM_SCALED_T)
+
+        def root(f):
+            if f(e1) > 0:
+                return e1
+            if f(1.0) < 0:
+                return 1.0
+            return _scalar_bisect_bool(lambda e2: f(e2) >= 0, e1, 1.0, tol)
+
+        return (root(lambda e2: u(e2) - (e1 + 1.0) / 4.0),
+                root(lambda e2: e2 / 2.0 - u(e2)))
+
+    bounds = [e2_bounds(float(e1), tol=tol) for e1 in np.linspace(0.25, 1.0, 61)[1:]]
+    assert bounds == [reference(float(e1)) for e1 in np.linspace(0.25, 1.0, 61)[1:]]
+    assert sum(0.25 < lb < 1.0 for lb, _ in bounds) >= 20  # roots, not clamps
+
+
+def test_scaled_gap_temperature_scales_each_row_by_its_own_range():
+    """A stack divides each row by its own spectral range: every row is
+    what it gives alone, and a row with no crossing stays NaN."""
+    w = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 2.0, 2.0, 2.0], [0.0, 1.0, 3.0, 4.0]])
+    e_sep = np.array([0.5, 1.0, 5.0])
+    stacked = scaled_gap_temperature(w, e_sep)
+    assert stacked[:2].tolist() == [scaled_gap_temperature(w[i], e_sep[i]) for i in (0, 1)]
+    assert stacked[:2] == pytest.approx(1 / np.log(3), abs=1e-9)
+    assert np.isnan(stacked[2]) and scaled_gap_temperature(w[2], 5.0) is None
+    assert type(scaled_gap_temperature(w[1], 1.0)) is float
+
+
+def test_gap_temperature_refuses_an_e_sep_of_the_wrong_shape():
+    w = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 2.0, 2.0, 2.0]])
+    with pytest.raises(ValueError, match=r"\(2, 4\).*\(\)"):
+        entanglement_gap_temperature(w, 0.5)
+    with pytest.raises(ValueError, match=r"\(2, 4\).*\(3,\)"):
+        entanglement_gap_temperature(w, np.array([0.5, 1.0, 1.0]))
 
 
 def test_gap_temperature_no_finite_solution():
