@@ -1,9 +1,9 @@
 """Interaction graphs and assembly of 2-local Hamiltonians.
 
 A lattice is a list of bonds on ``n_sites`` qudits; assembling it with a
-two-site coupling produces the sum of that coupling embedded on every
-bond, stored as one sparse matrix.  Its matvec serves Lanczos; small
-systems also get a dense copy, built the first time it is read.
+two-site coupling gives the sum of that coupling embedded on every bond:
+a sparse matrix for Lanczos and a small system's dense copy, each built
+when first read, and blocks of fixed magnetization built from the bonds.
 """
 
 from __future__ import annotations
@@ -134,13 +134,23 @@ LATTICES = {
 
 @dataclass(frozen=True)
 class AssembledLattice:
-    """Sum of the coupling over all bonds as one sparse matrix, float64
-    for a real coupling; the matrix-free apply and the dense form (when
-    the side is at most ``DENSE_CUTOFF``) both read it."""
+    """The coupling summed over all bonds.  ``matrix``, the matrix-free
+    apply and the dense form (when the side is at most ``DENSE_CUTOFF``)
+    are built on first read; ``sector`` builds its block from the bonds."""
 
     spec: LatticeSpec
     coupling: HermitianOperator
-    matrix: sparse.csr_array
+
+    @cached_property
+    def matrix(self) -> sparse.csr_array:
+        """The bond matrices summed in bond order, float64 for a real coupling."""
+        from scipy import sparse
+
+        h2, side = _pair_matrix(self.coupling), self.spec.dim
+        matrix = sparse.csr_array((side, side), dtype=h2.dtype)
+        for (i, j) in self.spec.bonds:
+            matrix = matrix + _bond_matrix(h2, i, j, self.spec)
+        return matrix
 
     @cached_property
     def matrix_free(self) -> MatrixFreeOperator:
@@ -158,26 +168,51 @@ class AssembledLattice:
 
     def sector(self, up: int) -> MatrixFreeOperator:
         """The block of ``matrix`` on the basis states with ``up`` sites in
-        state 1 (in index order), its entries sliced from ``matrix``.
+        state 1 (in index order): its slice's CSR arrays, built from the bonds.
 
         ValueError unless the sites are qubits, 0 <= up <= n_sites and
         the coupling keeps the number of 1s on its two sites, so that no
         entry of ``matrix`` leaves the block.
         """
+        from scipy import sparse
+
         n, d = self.spec.n_sites, self.spec.local_dim
         if d != 2:
             raise ValueError(f"sector needs qubit sites, got local dimension {d}")
         if not 0 <= up <= n:
             raise ValueError(f"up must lie in [0, {n}], got {up}")
         ones = np.array([0, 1, 1, 2])  # 1s in the two-site states 00, 01, 10, 11
-        out, inp = np.nonzero(self.coupling.matrix)
+        h2 = _pair_matrix(self.coupling)
+        out, inp = np.nonzero(h2)
         if np.any(ones[out] != ones[inp]):
             raise ValueError("coupling changes the number of 1s on a bond; it has no sectors")
-        index = np.arange(self.spec.dim)
-        count = sum((index >> k) & 1 for k in range(n))
-        keep = np.flatnonzero(count == up)
-        block = self.matrix[keep][:, keep]
-        return MatrixFreeOperator(keep.size, block.__matmul__)
+        # states[c]: the k-bit numbers with c ones, ascending; those of k + 1
+        # bits are these (top bit 0) followed by those with c - 1 ones plus 2**k
+        states = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * up
+        for k in range(n):
+            states = [states[0]] + [
+                np.concatenate((states[c], states[c - 1] | 1 << k)) for c in range(1, up + 1)
+            ]
+        states = states[up]
+        # the diagonal summed densely in bond order, as the sparse sum adds it
+        diag, rows, cols, vals = np.zeros(states.size, dtype=h2.dtype), [], [], []
+        for (i, j) in self.spec.bonds:
+            pair = (states >> (n - 1 - i) & 1) * 2 + (states >> (n - 1 - j) & 1)
+            diag += np.diagonal(h2)[pair]
+            # each 01 <-> 10 entry comes from this bond alone
+            for p, q in zip(out[out != inp], inp[out != inp]):
+                col = np.flatnonzero(pair == q)
+                flip = states[col] ^ (1 << (n - 1 - i) | 1 << (n - 1 - j))
+                rows.append(np.searchsorted(states, flip))
+                cols.append(col)
+                vals.append(np.full(col.size, h2[p, q]))
+        kept = np.flatnonzero(diag)  # the sparse sum drops entries that sum to exactly 0
+        # int32 indices, as ``matrix`` has them
+        rows, cols = (np.concatenate([kept, *x], dtype=np.int32) for x in (rows, cols))
+        data = np.concatenate([diag[kept], *vals])
+        # built from (row, column) pairs, a CSR array sorts each row's columns
+        block = sparse.csr_array((data, (rows, cols)), shape=(states.size,) * 2)
+        return MatrixFreeOperator(states.size, block.__matmul__)
 
 
 def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.csr_array:
@@ -205,10 +240,8 @@ def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.cs
 
 
 def assemble(spec: LatticeSpec, coupling: HermitianOperator) -> AssembledLattice:
-    """Embed the two-site coupling on every bond of the lattice and sum
-    the bond matrices in bond order."""
-    from scipy import sparse
-
+    """The two-site coupling on every bond of the lattice, checked here
+    and summed when ``matrix`` or a ``sector`` block is first built."""
     if coupling.n_subsystems != 2 or coupling.dims[0] != coupling.dims[1]:
         raise ValueError("coupling must act on two factors of equal dimension")
     if coupling.dims[0] != spec.local_dim:
@@ -216,14 +249,14 @@ def assemble(spec: LatticeSpec, coupling: HermitianOperator) -> AssembledLattice
             f"coupling local dimension {coupling.dims[0]} does not match "
             f"lattice local dimension {spec.local_dim}"
         )
-    side = spec.dim
-    if side > MAX_SIDE:
-        raise ValueError(f"side {side} exceeds the maximum {MAX_SIDE}")
-    h2 = coupling.matrix if coupling.matrix.imag.any() else coupling.matrix.real
-    matrix = sparse.csr_array((side, side), dtype=h2.dtype)
-    for (i, j) in spec.bonds:
-        matrix = matrix + _bond_matrix(h2, i, j, spec)
-    return AssembledLattice(spec=spec, coupling=coupling, matrix=matrix)
+    if spec.dim > MAX_SIDE:
+        raise ValueError(f"side {spec.dim} exceeds the maximum {MAX_SIDE}")
+    return AssembledLattice(spec=spec, coupling=coupling)
+
+
+def _pair_matrix(coupling: HermitianOperator) -> np.ndarray:
+    """The coupling's matrix, real when no entry has an imaginary part."""
+    return coupling.matrix if coupling.matrix.imag.any() else coupling.matrix.real
 
 
 def star_ground_energy_heisenberg(k: int) -> float:

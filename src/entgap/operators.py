@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -154,6 +154,21 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _lowest_tridiagonal_vector(d, e) -> np.ndarray:
+    """Bitwise ``eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1]``:
+    its LAPACK calls (dstebz, then dstein) without its input validation,
+    so the (n, 1) unit vector of the lowest level; LinAlgError on a nonzero info."""
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    if d.size == 1:
+        return np.ones((1, 1))
+    m, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+    if info == 0:
+        y, info = dstein(d, e, w[:m], block, split)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK tridiagonal eigenvector failed (info {info})")
+    return y
+
+
 def lanczos_ground(op: MatrixFreeOperator, tol: float = 1e-10, max_iter: int = 10000,
                    seed: int = 0):
     """Lowest eigenpair of a Hermitian matrix-free operator by two-pass Lanczos.
@@ -200,7 +215,7 @@ def lanczos_ground(op: MatrixFreeOperator, tol: float = 1e-10, max_iter: int = 1
                 betas.append(beta)
                 if j % 3 and j < n and beta > tol / 2:
                     continue
-                _, y = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(0, 0))
+                y = _lowest_tridiagonal_vector(alphas, betas[:-1])
                 if beta * abs(y[-1, 0]) <= tol / 2 or j == n:
                     break
             x = np.zeros_like(v)

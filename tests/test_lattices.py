@@ -297,6 +297,31 @@ def test_half_filled_sector_holds_the_heisenberg_extremes(spec):
     assert w[-1] == pytest.approx(spectrum.e_max, abs=1e-12)
 
 
+SECTOR_LATTICES = [f"ring:{n}" for n in range(4, 13)] + ["chain:9", "star:6", "complete:6", "file"]
+
+
+@pytest.mark.parametrize("coupling", ["heisenberg", "xxz:1.3", "xxz:-0.7", "xy:0:0.7", "dm"])
+@pytest.mark.parametrize("lattice", SECTOR_LATTICES)
+def test_sector_blocks_are_built_from_the_bonds_into_the_sliced_csr_arrays(
+        lattice, coupling, tmp_path):
+    if lattice == "file":  # bonds between non-adjacent sites, one listed j < i
+        path = tmp_path / "lattice.json"
+        path.write_text('{"n_sites": 7, "local_dim": 2, '
+                        '"bonds": [[0, 4], [5, 2], [1, 6], [3, 0], [2, 6]]}')
+        lattice = f"file:{path}"
+    spec = LatticeSpec.from_identifier(lattice)
+    asm = assemble(spec, _dm_heisenberg() if coupling == "dm" else models.from_identifier(coupling))
+    blocks = [asm.sector(up).apply.__self__ for up in range(spec.n_sites + 1)]
+    assert "matrix" not in asm.__dict__
+    ones = np.array([bin(s).count("1") for s in range(spec.dim)])
+    for up, block in enumerate(blocks):
+        keep = np.flatnonzero(ones == up)
+        sliced = asm.matrix[keep][:, keep]
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(block, name), getattr(sliced, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (up, name)
+
+
 def test_sector_refuses_what_has_no_sectors():
     rng = np.random.default_rng(0)
     qutrits = HermitianOperator(random_hermitian(9, rng), (3, 3))

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh_tridiagonal
+
 from entgap.operators import (
     HermitianOperator,
     LanczosError,
@@ -14,6 +16,7 @@ from entgap.operators import (
     operator_to_json,
     partial_transpose_matrix,
     random_state_vector,
+    _lowest_tridiagonal_vector,
 )
 from entgap.models import SIGMA_X, SIGMA_Y, SIGMA_Z, heisenberg_pair, singlet
 from helpers import check_matrix_free, partial_trace, random_hermitian
@@ -277,6 +280,18 @@ def test_lanczos_stops_on_an_invariant_subspace(n):
     assert abs(e + 1.0) <= 1e-12
     assert np.linalg.norm(d.diagonal * vec - e * vec) <= 1e-12
     assert d.calls - 1 <= 6
+
+
+def test_lowest_tridiagonal_vector_is_bitwise_that_of_eigh_tridiagonal():
+    # Lanczos tridiagonals: any diagonal, nonnegative off-diagonal; the
+    # 1 x 1 case is eigh_tridiagonal's quick exit
+    rng = np.random.default_rng(28)
+    for j in range(1, 121):
+        d, e = list(rng.standard_normal(j)), list(np.abs(rng.standard_normal(j - 1)))
+        _, want = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        got = _lowest_tridiagonal_vector(d, e)
+        assert got.dtype == want.dtype and got.shape == want.shape == (j, 1)
+        assert got.tobytes() == want.tobytes(), j
 
 
 def test_json_round_trip_and_validation():

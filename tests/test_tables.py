@@ -86,6 +86,21 @@ def test_chain_fit_ring_energies_match_a_half_filled_block_built_from_bit_string
         assert e_site == pytest.approx(e0 / n, abs=1e-10)
 
 
+def test_chain_fit_builds_no_full_space_ring_matrix(monkeypatch):
+    built = []
+    assemble = tables.assemble
+
+    def collecting(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(tables, "assemble", collecting)
+    chain_energy_extrapolation()
+    assert [asm.spec.n_sites for asm in built] == list(tables.RING_SIZES)
+    for asm in built:
+        assert "matrix" not in asm.__dict__
+
+
 def test_table2_matches_reference():
     rows, meta = table2_report(restarts=16, seed=0)
     by_name = {r["lattice"]: r for r in rows}
