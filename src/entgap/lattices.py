@@ -1,9 +1,10 @@
 """Interaction graphs and assembly of 2-local Hamiltonians.
 
 A lattice is a list of bonds on ``n_sites`` qudits; assembling it with a
-two-site coupling gives the sum of that coupling embedded on every bond:
-a sparse matrix for Lanczos and a small system's dense copy, each built
-when first read, and blocks of fixed magnetization built from the bonds.
+two-site coupling gives the sum of that coupling embedded on every bond.
+One routine builds its sparse block on a sorted list of basis states:
+all of them for the matrix that Lanczos and a small system's dense copy
+read (built when first read), or those with a fixed number of 1s.
 """
 
 from __future__ import annotations
@@ -134,23 +135,17 @@ LATTICES = {
 
 @dataclass(frozen=True)
 class AssembledLattice:
-    """The coupling summed over all bonds.  ``matrix``, the matrix-free
-    apply and the dense form (when the side is at most ``DENSE_CUTOFF``)
-    are built on first read; ``sector`` builds its block from the bonds."""
+    """The coupling summed over all bonds.  ``matrix``, its matrix-free
+    apply and dense form (when the side is at most ``DENSE_CUTOFF``) are
+    built on first read; ``matrix`` and ``sector`` blocks by one routine."""
 
     spec: LatticeSpec
     coupling: HermitianOperator
 
     @cached_property
     def matrix(self) -> sparse.csr_array:
-        """The bond matrices summed in bond order, float64 for a real coupling."""
-        from scipy import sparse
-
-        h2, side = _pair_matrix(self.coupling), self.spec.dim
-        matrix = sparse.csr_array((side, side), dtype=h2.dtype)
-        for (i, j) in self.spec.bonds:
-            matrix = matrix + _bond_matrix(h2, i, j, self.spec)
-        return matrix
+        """The block over all basis states, float64 for a real coupling."""
+        return _block(_pair_matrix(self.coupling), self.spec, np.arange(self.spec.dim))
 
     @cached_property
     def matrix_free(self) -> MatrixFreeOperator:
@@ -168,14 +163,13 @@ class AssembledLattice:
 
     def sector(self, up: int) -> MatrixFreeOperator:
         """The block of ``matrix`` on the basis states with ``up`` sites in
-        state 1 (in index order): its slice's CSR arrays, built from the bonds.
+        state 1 (in index order): its slice's CSR arrays, built by the same
+        routine as ``matrix`` without forming it.
 
         ValueError unless the sites are qubits, 0 <= up <= n_sites and
         the coupling keeps the number of 1s on its two sites, so that no
         entry of ``matrix`` leaves the block.
         """
-        from scipy import sparse
-
         n, d = self.spec.n_sites, self.spec.local_dim
         if d != 2:
             raise ValueError(f"sector needs qubit sites, got local dimension {d}")
@@ -193,55 +187,60 @@ class AssembledLattice:
             states = [states[0]] + [
                 np.concatenate((states[c], states[c - 1] | 1 << k)) for c in range(1, up + 1)
             ]
-        states = states[up]
-        # the diagonal summed densely in bond order, as the sparse sum adds it
-        diag, rows, cols, vals = np.zeros(states.size, dtype=h2.dtype), [], [], []
-        for (i, j) in self.spec.bonds:
-            pair = (states >> (n - 1 - i) & 1) * 2 + (states >> (n - 1 - j) & 1)
-            diag += np.diagonal(h2)[pair]
-            # each 01 <-> 10 entry comes from this bond alone
-            for p, q in zip(out[out != inp], inp[out != inp]):
-                col = np.flatnonzero(pair == q)
-                flip = states[col] ^ (1 << (n - 1 - i) | 1 << (n - 1 - j))
-                rows.append(np.searchsorted(states, flip))
-                cols.append(col)
-                vals.append(np.full(col.size, h2[p, q]))
-        kept = np.flatnonzero(diag)  # the sparse sum drops entries that sum to exactly 0
-        # int32 indices, as ``matrix`` has them
-        rows, cols = (np.concatenate([kept, *x], dtype=np.int32) for x in (rows, cols))
-        data = np.concatenate([diag[kept], *vals])
-        # built from (row, column) pairs, a CSR array sorts each row's columns
-        block = sparse.csr_array((data, (rows, cols)), shape=(states.size,) * 2)
-        return MatrixFreeOperator(states.size, block.__matmul__)
+        return MatrixFreeOperator(states[up].size, _block(h2, self.spec, states[up]).__matmul__)
 
 
-def _bond_matrix(h2: np.ndarray, i: int, j: int, spec: LatticeSpec) -> sparse.csr_array:
-    """``h2`` on sites i < j (first factor on i), identity elsewhere.
+def _block(h2: np.ndarray, spec: LatticeSpec, states: np.ndarray) -> sparse.csr_array:
+    """``h2`` summed over the bonds (first factor on the lower site) on the
+    ascending basis ``states``, which no entry may leave.
 
     A basis index is the number whose base-d digits are the site states,
-    site 0 most significant.  Each nonzero h2[p, q] links every index
-    with digits (q // d, q % d) on (i, j) to the one with (p // d, p % d)
-    there and the same other digits.
+    site 0 most significant.  Entry h2[p, q] sits in every row whose state
+    has digits (p // d, p % d) on bond (i, j), at the column whose state
+    has (q // d, q % d) there and the same other digits.  The diagonal is
+    summed densely in bond order; exact zeros are not stored.
     """
     from scipy import sparse
 
-    d, n = spec.local_dim, spec.n_sites
+    d, n, size = spec.local_dim, spec.n_sites, states.size
+    place = [d ** (n - 1 - k) for k in range(n)]
+    # digits[k]: site k's state, in a type that holds a bond's pair state
+    digits = np.empty((n, size), dtype=np.min_scalar_type(d * d - 1))
+    for k in range(n):
+        digits[k] = states // place[k] % d
+    out, inp = np.nonzero(h2 - np.diag(np.diagonal(h2)))
+    per_row = np.bincount(out, minlength=d * d)  # off-diagonal entries in each row of h2
+    diag, counts = np.zeros(size, dtype=h2.dtype), np.zeros(size, dtype=np.int32)
+    for (i, j) in spec.bonds:
+        pair = digits[i] * d + digits[j]
+        diag += np.diagonal(h2)[pair]
+        counts += per_row[pair]
+    indptr = np.concatenate(([0], np.cumsum(counts + (diag != 0))), dtype=np.int32)
     # int32 indices: MAX_SIDE keeps every index below 2**31
-    free = np.arange(spec.dim, dtype=np.int32).reshape((d,) * n)[
-        tuple(0 if k in (i, j) else slice(None) for k in range(n))
-    ].ravel()
-    pair = np.arange(d * d, dtype=np.int32)
-    offset = (pair // d) * d ** (n - 1 - i) + (pair % d) * d ** (n - 1 - j)
-    out, inp = np.nonzero(h2)
-    rows = (offset[out, None] + free).ravel()
-    cols = (offset[inp, None] + free).ravel()
-    data = np.repeat(h2[out, inp], free.size)
-    return sparse.csr_array((data, (rows, cols)), shape=(spec.dim, spec.dim))
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1], dtype=h2.dtype)
+    # a column is its row's state plus the move's step: placed in ascending
+    # step, each row's columns come out sorted (stable sort: ties in bond order)
+    moves = sorted([(0, 0, 0, 0, 0)] + [
+        ((q // d - p // d) * place[i] + (q % d - p % d) * place[j], i, j, p, q)
+        for (i, j) in spec.bonds for p, q in zip(out.tolist(), inp.tolist())
+    ], key=lambda move: move[0])
+    cursor, full = indptr[:-1].astype(np.intp), size == spec.dim
+    for step, i, j, p, q in moves:  # step 0 is the diagonal
+        rows = np.flatnonzero(diag if step == 0 else digits[i] * d + digits[j] == p)
+        at = cursor[rows]
+        indices[at] = rows + step if full else np.searchsorted(states, states[rows] + step)
+        data[at] = diag[rows] if step == 0 else h2[p, q]
+        cursor[rows] = at + 1
+    block = sparse.csr_array((data, indices, indptr), shape=(size, size))
+    if not block.has_canonical_format:  # one-site terms of two bonds share an entry
+        block.sum_duplicates()
+        block.eliminate_zeros()
+    return block
 
 
 def assemble(spec: LatticeSpec, coupling: HermitianOperator) -> AssembledLattice:
-    """The two-site coupling on every bond of the lattice, checked here
-    and summed when ``matrix`` or a ``sector`` block is first built."""
+    """The two-site coupling on every bond of the lattice, checked here and
+    summed by one routine when ``matrix`` or a ``sector`` block is first built."""
     if coupling.n_subsystems != 2 or coupling.dims[0] != coupling.dims[1]:
         raise ValueError("coupling must act on two factors of equal dimension")
     if coupling.dims[0] != spec.local_dim:

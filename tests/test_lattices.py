@@ -7,11 +7,10 @@ from entgap import models
 from entgap.lattices import (
     LatticeSpec,
     REFERENCE_ENERGIES,
-    _bond_matrix,
     assemble,
     star_ground_energy_heisenberg,
 )
-from entgap.models import SIGMA_X, SIGMA_Y, heisenberg_pair, xxz_pair, xy_pair
+from entgap.models import SIGMA_X, SIGMA_Y, SIGMA_Z, heisenberg_pair, xxz_pair, xy_pair
 from entgap.operators import (
     HermitianOperator,
     MatrixFreeOperator,
@@ -74,6 +73,24 @@ def test_assemble_validation():
         assemble(LatticeSpec.ring(30), h)
 
 
+def kron_embedding(spec, h2):
+    """The dense sum, in bond order, of ``h2`` (first factor on the lower
+    site) kron the identity on every other site.  Each bond adds ``h2`` in
+    place on the view of the sum that the identity's deltas leave: its
+    row digits, then the bond's two column digits."""
+    n, d = spec.n_sites, spec.local_dim
+    total = np.zeros((spec.dim, spec.dim), dtype=h2.dtype)
+    rows = "abcdefghijklmnopqrstuvwx"[:n]
+    for (i, j) in spec.bonds:
+        cols = "".join("y" if k == i else "z" if k == j else rows[k] for k in range(n))
+        view = np.einsum(f"{rows}{cols}->{rows}yz", total.reshape((d,) * (2 * n)))
+        assert np.shares_memory(view, total)
+        shape = [1] * n + [d, d]
+        shape[i] = shape[j] = d
+        view += h2.reshape(shape)
+    return total
+
+
 @pytest.mark.parametrize("spec", [
     LatticeSpec.ring(5, local_dim=3),  # holds the wrap-around bond (0, 4)
     LatticeSpec.star(3, local_dim=3),
@@ -91,6 +108,7 @@ def test_assembly_matches_kron_embedding_oracle(spec):
         embedded = np.kron(coupling.matrix, np.eye(3 ** (n - 2)))
         t = embedded.reshape((3,) * (2 * n)).transpose(order + [n + k for k in order])
         expected += t.reshape(spec.dim, spec.dim)
+    np.testing.assert_array_equal(kron_embedding(spec, coupling.matrix), expected)
     asm = assemble(spec, coupling)
     assert np.max(np.abs(asm.dense.matrix - expected)) < 1e-13
     block = rng.standard_normal((spec.dim, 3)) + 1j * rng.standard_normal((spec.dim, 3))
@@ -111,10 +129,7 @@ def test_real_couplings_assemble_into_float64_and_dense_is_the_complex_assembly(
     assert assemble(LatticeSpec.ring(5), _dm_heisenberg()).matrix.dtype == np.complex128
     for spec in (LatticeSpec.star(4), LatticeSpec.ring(9), LatticeSpec.complete(4)):
         for coupling in (heisenberg_pair(), xxz_pair(1.3), xy_pair(0.3, 0.7)):
-            complex_sum = sparse.csr_array((spec.dim, spec.dim), dtype=complex)
-            for (i, j) in spec.bonds:
-                complex_sum = complex_sum + _bond_matrix(coupling.matrix, i, j, spec)
-            expected = HermitianOperator(complex_sum.toarray(), (2,) * spec.n_sites)
+            expected = HermitianOperator(kron_embedding(spec, coupling.matrix), (2,) * spec.n_sites)
             got = assemble(spec, coupling).dense.matrix
             assert got.dtype == np.complex128
             assert got.tobytes() == expected.matrix.tobytes()
@@ -300,17 +315,70 @@ def test_half_filled_sector_holds_the_heisenberg_extremes(spec):
 SECTOR_LATTICES = [f"ring:{n}" for n in range(4, 13)] + ["chain:9", "star:6", "complete:6", "file"]
 
 
-@pytest.mark.parametrize("coupling", ["heisenberg", "xxz:1.3", "xxz:-0.7", "xy:0:0.7", "dm"])
-@pytest.mark.parametrize("lattice", SECTOR_LATTICES)
-def test_sector_blocks_are_built_from_the_bonds_into_the_sliced_csr_arrays(
-        lattice, coupling, tmp_path):
+def _spec(lattice, tmp_path):
     if lattice == "file":  # bonds between non-adjacent sites, one listed j < i
         path = tmp_path / "lattice.json"
         path.write_text('{"n_sites": 7, "local_dim": 2, '
                         '"bonds": [[0, 4], [5, 2], [1, 6], [3, 0], [2, 6]]}')
         lattice = f"file:{path}"
-    spec = LatticeSpec.from_identifier(lattice)
-    asm = assemble(spec, _dm_heisenberg() if coupling == "dm" else models.from_identifier(coupling))
+    return LatticeSpec.from_identifier(lattice)
+
+
+def _coupling(name):
+    return _dm_heisenberg() if name == "dm" else models.from_identifier(name)
+
+
+@pytest.mark.parametrize(
+    "coupling", ["heisenberg", "xxz:1.3", "xxz:-0.7", "xy:0.3:0.7", "xy:0:0.7", "dm"])
+@pytest.mark.parametrize("lattice", SECTOR_LATTICES + ["star:4", "complete:4"])
+def test_matrix_has_the_csr_arrays_of_the_dense_kron_embedding(lattice, coupling, tmp_path):
+    spec, op = _spec(lattice, tmp_path), _coupling(coupling)
+    want = sparse.csr_array(kron_embedding(spec, op.matrix if coupling == "dm" else op.matrix.real))
+    got = assemble(spec, op).matrix
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec.star(4), LatticeSpec.complete(4)],
+                         ids=["star4", "complete4"])
+def test_one_site_terms_of_several_bonds_sum_into_one_entry(spec):
+    # X on the lower site: on star:4 all four bonds put it on the center
+    h2 = (np.kron(SIGMA_Z, SIGMA_Z) + 0.3 * np.kron(SIGMA_X, np.eye(2))).real
+    matrix = assemble(spec, HermitianOperator(h2, (2, 2))).matrix
+    assert np.max(np.abs(matrix.toarray() - kron_embedding(spec, h2))) <= 1e-13
+    assert matrix.has_canonical_format and np.all(matrix.data != 0)
+
+
+def test_one_site_terms_that_cancel_leave_no_stored_zero():
+    # X0 - X1 + X1 - X2: the site-1 terms cancel, X0 and X2 keep 8 entries each
+    h2 = (np.kron(SIGMA_X, np.eye(2)) - np.kron(np.eye(2), SIGMA_X)).real
+    matrix = assemble(LatticeSpec.chain(3), HermitianOperator(h2, (2, 2))).matrix
+    assert matrix.nnz == 16 and np.all(matrix.data != 0)
+    np.testing.assert_array_equal(matrix.toarray(), kron_embedding(LatticeSpec.chain(3), h2))
+
+
+def test_sector_holds_at_most_two_and_a_half_blocks_while_building_one():
+    import tracemalloc
+
+    asm = assemble(LatticeSpec.ring(18), xxz_pair(1.3))
+    tracemalloc.start()
+    try:
+        block = asm.sector(9).apply.__self__
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+    assert block.shape == (48620, 48620)
+    assert peak <= 2.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("coupling", ["heisenberg", "xxz:1.3", "xxz:-0.7", "xy:0:0.7", "dm"])
+@pytest.mark.parametrize("lattice", SECTOR_LATTICES)
+def test_sector_blocks_are_built_from_the_bonds_into_the_sliced_csr_arrays(
+        lattice, coupling, tmp_path):
+    spec = _spec(lattice, tmp_path)
+    asm = assemble(spec, _coupling(coupling))
     blocks = [asm.sector(up).apply.__self__ for up in range(spec.n_sites + 1)]
     assert "matrix" not in asm.__dict__
     ones = np.array([bin(s).count("1") for s in range(spec.dim)])
